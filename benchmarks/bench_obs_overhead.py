@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     results = {
         "cpu_count": os.cpu_count(),
         "max_overhead": args.max_overhead,
-        "overhead": run_overhead(TITAN_BLACK, max(args.jobs, 1), args.repeat),
+        "overhead": run_overhead(TITAN_BLACK, args.jobs, args.repeat),
     }
     o = results["overhead"]
     print(

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     )
 
     if not args.skip_end_to_end:
-        results["end_to_end"] = run_end_to_end(TITAN_BLACK, max(args.jobs, 1))
+        results["end_to_end"] = run_end_to_end(TITAN_BLACK, args.jobs)
         e = results["end_to_end"]
         print(
             f"end-to-end ({e['figure']}, --jobs {e['jobs']}): "

@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field
 
+from repro.gpusim.parallel import resolve_jobs
 
-def parse_jobs(value: str) -> int | str:
-    """``--jobs`` argument: an integer or the literal ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
+
+def parse_jobs(value: str) -> int:
+    """``--jobs`` argument: an integer or the literal ``auto``, resolved to
+    a worker count by :func:`repro.gpusim.parallel.resolve_jobs`."""
     try:
-        return int(value)
+        return resolve_jobs(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {value!r}"

@@ -87,6 +87,14 @@ def warp_transactions(
     np.ndarray
         ``(n_warps,)`` int64 array of transaction counts.
     """
+    return _first_touches(addresses, device, access_bytes).sum(axis=1, dtype=np.int64)
+
+
+def _first_touches(
+    addresses: np.ndarray, device: DeviceSpec, access_bytes: int
+) -> np.ndarray:
+    """Boolean ``(warps, k)`` mask with one True per distinct segment a
+    warp's active lanes touch, so a row's sum is its transaction count."""
     addr = np.asarray(addresses, dtype=np.int64)
     if addr.ndim != 2:
         raise ValueError(f"expected (warps, lanes) addresses, got shape {addr.shape}")
@@ -96,35 +104,18 @@ def warp_transactions(
         )
     seg = device.transaction_bytes
     active = addr >= 0
-    # An access of `access_bytes` starting at addr may straddle two segments;
-    # count both its first and last byte's segment.
-    first = addr // seg
+    first = addr // seg  # floor division keeps inactive lanes negative
+    # An access of `access_bytes` starting at addr may straddle two segments,
+    # touching both its first and last byte's segment.  Aligned accesses
+    # never do, and then the first segments alone are the whole set.
     last = (addr + access_bytes - 1) // seg
-    counts = np.zeros(addr.shape[0], dtype=np.int64)
-    for segs in (first, last):
-        masked = np.where(active, segs, np.int64(-1))
-        ordered = np.sort(masked, axis=1)
-        # A segment is newly-touched where it differs from its left neighbour.
-        new = np.concatenate(
-            [np.ones((addr.shape[0], 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]],
-            axis=1,
-        )
-        new &= ordered >= 0
-        counts += new.sum(axis=1)
-    # Segments counted via both `first` and `last` are double counted; fix by
-    # recounting on the union.  For speed we only do the exact union pass when
-    # any access straddles (access_bytes > 1 may straddle).
-    if access_bytes > 1:
-        both = np.concatenate([first, last], axis=1)
-        both = np.where(np.concatenate([active, active], axis=1), both, np.int64(-1))
-        ordered = np.sort(both, axis=1)
-        new = np.concatenate(
-            [np.ones((both.shape[0], 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]],
-            axis=1,
-        )
-        new &= ordered >= 0
-        counts = new.sum(axis=1)
-    return counts
+    if (active & (last != first)).any():
+        first = np.concatenate([first, np.where(active, last, np.int64(-1))], axis=1)
+    ordered = np.sort(first, axis=1)
+    # A segment is newly touched where it differs from its left neighbour.
+    new = ordered >= 0
+    new[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    return new
 
 
 def analyze_warps(
@@ -132,9 +123,8 @@ def analyze_warps(
 ) -> CoalescingReport:
     """Run the coalescing unit over sampled warps and aggregate statistics."""
     addr = np.asarray(addresses, dtype=np.int64)
-    counts = warp_transactions(addr, device, access_bytes)
-    active = int((addr >= 0).sum())
-    transactions = int(counts.sum())
+    transactions = int(np.count_nonzero(_first_touches(addr, device, access_bytes)))
+    active = int(np.count_nonzero(addr >= 0))
     return CoalescingReport(
         warps=addr.shape[0],
         transactions=transactions,

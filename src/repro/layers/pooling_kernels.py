@@ -157,46 +157,49 @@ class _TracedNCHWPooling(_PoolingKernelBase):
     max_l2_transactions = 200_000
     writes_mask = False
 
-    def _thread_coords(self, thread_ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Map flat thread ids to (n, c, ho, wo); subclasses override for
-        their block shape."""
+    def _sampled_threads(
+        self, device: DeviceSpec, total_threads: int
+    ) -> tuple[np.ndarray, int]:
+        """Thread ids of the sampled warps' lanes, shaped
+        ``(sampled_warps, lanes)``, and the grid's warp count."""
+        warp = device.warp_size
+        n_warps = ceil(total_threads / warp)
+        sampled = sample_indices(n_warps, self.max_sample_warps)
+        return sampled[:, None] * warp + np.arange(warp, dtype=np.int64), n_warps
+
+    def _sampled_lanes(self, device: DeviceSpec) -> tuple[np.ndarray, ...]:
+        """(feature map, ho, wo, active) of each sampled warp's lanes, each
+        shaped ``(sampled_warps, lanes)``, plus the grid's warp count.
+
+        Flat thread indexing over (N, C, Ho, Wo); subclasses override for
+        their block shape.  Inactive lanes may hold any in-range coordinate.
+        """
         s = self.spec
-        wo = thread_ids % s.out_w
-        rest = thread_ids // s.out_w
+        tid, n_warps = self._sampled_threads(device, s.out_elements)
+        active = tid < s.out_elements
+        tid = np.where(active, tid, 0)
+        wo = tid % s.out_w
+        rest = tid // s.out_w
         ho = rest % s.out_h
-        rest //= s.out_h
-        c = rest % s.c
-        n = rest // s.c
-        return n, c, ho, wo
+        return rest // s.out_h, ho, wo, active, n_warps
 
     def _stacked_loads(self, device: DeviceSpec) -> tuple[np.ndarray, int, int]:
         """(sampled warp-load trace, grid warps, sampled warps).
 
         The trace has one warp instruction per window tap — shape
-        ``(sampled_warps * taps, lanes)`` — with inactive lanes at -1.
+        ``(taps * sampled_warps, lanes)``, tap-major — with inactive lanes
+        at -1.
         """
         s = self.spec
-        total_threads = s.out_elements
-        warp = device.warp_size
-        n_warps = ceil(total_threads / warp)
-        sampled = sample_indices(n_warps, self.max_sample_warps)
-        lanes = np.arange(warp, dtype=np.int64)
-        tid = sampled[:, None] * warp + lanes
-        valid = tid < total_threads
-        tid = np.where(valid, tid, 0)
-        n, c, ho, wo = self._thread_coords(tid)
-        taps = [
-            (fy, fx) for fy in range(s.window) for fx in range(s.window)
-        ]
-        rows = []
-        for fy, fx in taps:
-            # ceil-mode windows clip at the input edge (inactive taps)
-            hi = np.minimum(ho * s.stride + fy, s.h - 1)
-            wi = np.minimum(wo * s.stride + fx, s.w - 1)
-            addr = (((n * s.c + c) * s.h + hi) * s.w + wi) * _ITEM
-            rows.append(np.where(valid, addr, np.int64(-1)))
-        # One warp instruction per tap: (warps * taps, lanes).
-        return np.concatenate(rows, axis=0), n_warps, len(sampled)
+        plane, ho, wo, active, n_warps = self._sampled_lanes(device)
+        # ceil-mode windows clip at the input edge (inactive taps)
+        taps = np.arange(s.window, dtype=np.int64)[:, None, None]
+        hi = np.minimum(ho * s.stride + taps, s.h - 1)
+        wi = np.minimum(wo * s.stride + taps, s.w - 1)
+        # (fy, fx, warp, lane): the taps in row-major (fy, fx) order.
+        addr = (((plane * s.h + hi) * s.w)[:, None] + wi[None]) * _ITEM
+        addr[:, :, ~active] = -1
+        return addr.reshape(-1, device.warp_size), n_warps, plane.shape[0]
 
     def _build_profile(self, device: DeviceSpec) -> MemoryProfile:
         s = self.spec
@@ -272,31 +275,17 @@ class PoolingNCHWBlockPerRow(_TracedNCHWPooling):
             active_lane_fraction=self._plane() / padded,
         )
 
-    def _stacked_loads(self, device: DeviceSpec) -> tuple[np.ndarray, int, int]:
+    def _sampled_lanes(self, device: DeviceSpec) -> tuple[np.ndarray, ...]:
         # Thread t covers map t // padded_plane, output t % padded_plane
         # (lanes beyond the plane are predicated off).
         s = self.spec
         padded = self._padded_plane(device)
-        total_threads = s.n * s.c * padded
-        warp = device.warp_size
-        n_warps = ceil(total_threads / warp)
-        sampled = sample_indices(n_warps, self.max_sample_warps)
-        lanes = np.arange(warp, dtype=np.int64)
-        tid = sampled[:, None] * warp + lanes
+        tid, n_warps = self._sampled_threads(device, s.n * s.c * padded)
         plane_idx = tid % padded
         active = plane_idx < self._plane()
         plane_idx = np.minimum(plane_idx, self._plane() - 1)
         map_idx = np.minimum(tid // padded, s.n * s.c - 1)
-        wo = plane_idx % s.out_w
-        ho = plane_idx // s.out_w
-        rows = []
-        for fy in range(s.window):
-            for fx in range(s.window):
-                hi = np.minimum(ho * s.stride + fy, s.h - 1)
-                wi = np.minimum(wo * s.stride + fx, s.w - 1)
-                addr = ((map_idx * s.h + hi) * s.w + wi) * _ITEM
-                rows.append(np.where(active, addr, np.int64(-1)))
-        return np.concatenate(rows, axis=0), n_warps, len(sampled)
+        return map_idx, plane_idx // s.out_w, plane_idx % s.out_w, active, n_warps
 
 
 POOL_IMPLEMENTATIONS = ("chwn", "chwn-coarsened", "nchw-linear", "nchw-rowblock")

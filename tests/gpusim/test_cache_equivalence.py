@@ -142,6 +142,46 @@ class TestAdversarial:
         _check_equivalent(addr, 256, 32, 2)
 
 
+class TestSortKeyRanges:
+    """The fast path narrows set, slot and round indices to 16 bits when
+    they fit (NumPy radix-sorts those) and packs (set, tag) into one
+    uint64 sort key; each must also hold past those ranges."""
+
+    @pytest.mark.parametrize("n_sets", [40_000, 70_000])
+    def test_set_counts_past_16_bit_ranges(self, n_sets):
+        """Every set of a direct-mapped cache takes two lines, so all are
+        open: more sets (and slots) than 16 bits at 70 000."""
+        rng = np.random.default_rng(n_sets)
+        sets = rng.permutation(n_sets)
+        lines = np.concatenate([sets, sets + n_sets])
+        rng.shuffle(lines)
+        # five sets keep cycling lines after the rest drain: the tail
+        heavy = np.arange(250) % 5 + np.arange(250) % 3 * n_sets
+        addr = np.concatenate([lines, heavy]) * 16
+        _check_equivalent(addr, 16 * n_sets, 16, 1, chunks=[50_000])
+
+    def test_round_counts_past_16_bit_range(self):
+        """One set takes over 65 536 accesses, after rounds over 30 sets."""
+        n_sets, assoc = 64, 2
+        others = np.arange(30 * 12) % 30 + np.arange(30 * 12) // 30 % 3 * n_sets
+        hot = np.arange(70_000) % 3 * n_sets + 40
+        addr = np.concatenate([others, hot]) * 32
+        _check_equivalent(addr, 32 * assoc * n_sets, 32, assoc)
+
+    @pytest.mark.parametrize("line", [1, 16])
+    def test_addresses_near_int64_max(self, line):
+        """With 48 sets and one-byte lines the largest packed (set, tag)
+        keys pass the int64 range; they must still group exactly."""
+        top = np.iinfo(np.int64).max
+        rng = np.random.default_rng(line)
+        span = 48 * line * 40
+        addr = np.concatenate(
+            [top - rng.integers(0, span, size=3000), rng.integers(0, span, size=3000)]
+        )
+        rng.shuffle(addr)
+        _check_equivalent(addr, line * 4 * 48, line, 4, chunks=[1000])
+
+
 class TestFastPathToggle:
     def test_set_fast_path_returns_previous(self):
         prev = set_fast_path(False)

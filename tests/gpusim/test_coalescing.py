@@ -13,6 +13,42 @@ from repro.gpusim import (
 )
 
 
+def reference_transactions(addr, segment_bytes, access_bytes):
+    """Scalar golden reference: the size of each warp's set of touched
+    segments, every byte of every active lane's access included."""
+    counts = []
+    for row in np.asarray(addr).tolist():
+        touched = set()
+        for a in row:
+            if a >= 0:
+                last = (a + access_bytes - 1) // segment_bytes
+                touched.update(range(a // segment_bytes, last + 1))
+        counts.append(len(touched))
+    return counts
+
+
+@st.composite
+def warp_traces(draw):
+    """Strided or scattered warps at any alignment, with inactive lanes
+    (any negative value) and whole inactive warps."""
+    n_warps = draw(st.integers(0, 6))
+    lanes = draw(st.integers(1, 32))
+    access_bytes = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_warps, lanes)
+    if draw(st.booleans()):
+        base = draw(st.integers(0, 4096))
+        stride = draw(st.sampled_from([0, 1, 2, 3, 4, 8, 12, 16, 36, 128]))
+        addr = base + np.arange(n_warps * lanes).reshape(shape) * stride
+    else:
+        addr = rng.integers(0, draw(st.sampled_from([64, 1024, 1 << 20])), shape)
+    inactive = rng.random(shape) < draw(st.sampled_from([0.0, 0.25, 0.9]))
+    if n_warps and draw(st.booleans()):
+        inactive[rng.integers(n_warps)] = True
+    addr = np.where(inactive, -rng.integers(1, 40, shape), addr)
+    return addr.astype(np.int64), access_bytes
+
+
 class TestWarpTransactions:
     def test_fully_coalesced_float_is_4_transactions(self, device):
         addr = strided_pattern(1, 4, device)
@@ -79,6 +115,26 @@ class TestWarpTransactions:
             warp_transactions(addr, TITAN_BLACK)[0]
             == warp_transactions(shuffled, TITAN_BLACK)[0]
         )
+
+    @given(trace=warp_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, trace):
+        """Both the aligned single-sort path and the straddle path count
+        exactly each warp's touched segments."""
+        addr, access_bytes = trace
+        counts = warp_transactions(addr, TITAN_BLACK, access_bytes)
+        seg = TITAN_BLACK.transaction_bytes
+        assert counts.dtype == np.int64
+        assert counts.tolist() == reference_transactions(addr, seg, access_bytes)
+        report = analyze_warps(addr, TITAN_BLACK, access_bytes)
+        assert report.transactions == int(counts.sum())
+        assert report.useful_bytes == int((addr >= 0).sum()) * access_bytes
+
+    def test_byte_accesses_count_each_segment_once(self, device):
+        """One-byte accesses never straddle: four lanes in one segment are
+        one transaction, not one per (first, last) byte."""
+        addr = np.array([[0, 1, 2, 3]], dtype=np.int64)
+        assert warp_transactions(addr, device, access_bytes=1)[0] == 1
 
 
 class TestAnalyzeWarps:

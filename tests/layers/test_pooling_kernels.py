@@ -1,16 +1,24 @@
 """Pooling kernel models: Fig. 6 layout dominance, Fig. 12 coarsening."""
 
-import pytest
+from math import ceil
 
-from repro.gpusim import simulate
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.gpusim import TITAN_BLACK, TITAN_X, SetAssociativeCache, simulate
+from repro.gpusim.trace import sample_indices
 from repro.layers import (
     PoolingCHWN,
     PoolingCoarsenedCHWN,
     PoolingNCHWBlockPerRow,
     PoolingNCHWLinear,
+    PoolSpec,
     make_pool_kernel,
 )
 from repro.networks import POOL_LAYERS
+from tests.gpusim.test_coalescing import reference_transactions
 
 
 def useful_bytes(spec):
@@ -162,3 +170,97 @@ class TestTracedL2Diagnostic:
         sharing must register as a substantial traced hit rate."""
         p = PoolingNCHWLinear(POOL_LAYERS["PL5"]).memory_profile(device)
         assert p.traced_l2_hit_rate > 0.3
+
+
+def _reference_trace(kernel, device):
+    """Scalar rebuild of a traced NCHW kernel's sampled load trace: one
+    warp instruction per window tap, taps in row-major order, inactive
+    lanes at -1.  Returns (trace rows, grid warps, sampled warps)."""
+    s, warp = kernel.spec, device.warp_size
+    plane = s.out_h * s.out_w
+    if isinstance(kernel, PoolingNCHWBlockPerRow):
+        padded = ceil(plane / warp) * warp
+        total = s.n * s.c * padded
+    else:
+        total = s.out_elements
+    n_warps = ceil(total / warp)
+    sampled = sample_indices(n_warps, kernel.max_sample_warps).tolist()
+    rows = []
+    for fy in range(s.window):
+        for fx in range(s.window):
+            for w in sampled:
+                row = []
+                for t in range(w * warp, (w + 1) * warp):
+                    if isinstance(kernel, PoolingNCHWBlockPerRow):
+                        fmap, p = divmod(t, padded)
+                        active = p < plane
+                    else:
+                        fmap, p = divmod(t, plane)
+                        active = t < total
+                    ho, wo = divmod(p, s.out_w)
+                    hi = min(ho * s.stride + fy, s.h - 1)
+                    wi = min(wo * s.stride + fx, s.w - 1)
+                    row.append(((fmap * s.h + hi) * s.w + wi) * 4 if active else -1)
+                rows.append(row)
+    return rows, n_warps, len(sampled)
+
+
+def _reference_stream(rows, segment_bytes, cap):
+    """Each warp's distinct segments, ascending, in warp order; whole warps
+    up to the one whose transactions first reach ``cap``."""
+    stream = []
+    for row in rows:
+        if len(stream) >= cap:
+            break
+        stream.extend(sorted({a // segment_bytes for a in row if a >= 0}))
+    return np.array(stream, dtype=np.int64) * segment_bytes
+
+
+@st.composite
+def small_pool_specs(draw):
+    window = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    return PoolSpec(
+        n=draw(st.integers(1, 2)),
+        c=draw(st.integers(1, 4)),
+        h=draw(st.integers(window, window + 10)),
+        w=draw(st.integers(window, window + 10)),
+        window=window,
+        stride=stride,
+    )
+
+
+class TestTracedProfileEquivalence:
+    """The traced NCHW profile (vectorized address generation, coalescing
+    and L2 replay) equals a scalar rebuild of the same trace priced by the
+    scalar coalescing reference and ``reference_access_stream``."""
+
+    @given(
+        spec=small_pool_specs(),
+        cls=st.sampled_from([PoolingNCHWLinear, PoolingNCHWBlockPerRow]),
+        device=st.sampled_from([TITAN_BLACK, TITAN_X]),
+        max_sample_warps=st.sampled_from([512, 5]),
+        max_l2_transactions=st.sampled_from([200_000, 40]),
+    )
+    # ceil-mode overhang in both dims, on a 4x4 output plane (under a warp)
+    @example(PoolSpec(2, 3, 8, 8, 3, 2), PoolingNCHWBlockPerRow, TITAN_X, 512, 200_000)
+    @example(PoolSpec(2, 3, 8, 8, 3, 2), PoolingNCHWLinear, TITAN_BLACK, 5, 40)
+    @settings(max_examples=40, deadline=None)
+    def test_profile_matches_scalar_reference(
+        self, spec, cls, device, max_sample_warps, max_l2_transactions
+    ):
+        kernel = cls(spec)
+        kernel.max_sample_warps = max_sample_warps
+        kernel.max_l2_transactions = max_l2_transactions
+        profile = kernel.memory_profile(device)
+
+        rows, n_warps, n_sampled = _reference_trace(kernel, device)
+        seg = device.transaction_bytes
+        transactions = sum(reference_transactions(rows, seg, 4))
+        assert profile.load_transactions == transactions * (n_warps / n_sampled)
+
+        stream = _reference_stream(rows, seg, max_l2_transactions)
+        l2 = SetAssociativeCache.l2_for(device, fast_path=False)
+        hits = l2.reference_access_stream(stream)
+        expected = float(hits.mean()) if stream.size else 0.0
+        assert profile.traced_l2_hit_rate == expected

@@ -1,5 +1,6 @@
 """The benchmark harness's own infrastructure (figutil) and determinism."""
 
+import os
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
-from figutil import FigureTable, geomean  # noqa: E402
+from figutil import FigureTable, bench_arg_parser, geomean  # noqa: E402
 
 
 class TestGeomean:
@@ -70,6 +71,65 @@ class TestFigureTable:
         text = t.render()
         assert "demo" in text and "a note" in text
         assert "1.000" in text and "b" in text
+
+
+class TestJobsArgument:
+    """``--jobs`` reaches every driver as a worker count (``auto`` once
+    reached them as a string and crashed ``max(args.jobs, 1)``)."""
+
+    CPUS = os.cpu_count() or 1
+
+    @staticmethod
+    def parse(*argv):
+        return bench_arg_parser("demo").parse_args(list(argv)).jobs
+
+    def test_auto_is_every_cpu(self):
+        assert self.parse("--jobs", "auto") == self.CPUS
+
+    def test_zero_and_default_are_serial(self):
+        assert self.parse("--jobs", "0") == 1
+        assert self.parse() == 1
+
+    def test_number_is_clamped_to_the_cpu_count(self):
+        assert self.parse("--jobs", "1") == 1
+        assert self.parse("--jobs", str(self.CPUS + 7)) == self.CPUS
+
+    def test_junk_is_rejected(self):
+        with pytest.raises(SystemExit):
+            self.parse("--jobs", "many")
+
+    def test_simulator_perf_driver_accepts_auto(self, monkeypatch, tmp_path):
+        import bench_simulator_perf as bench
+
+        seen = {}
+
+        def fake_end_to_end(device, jobs):
+            seen["jobs"] = jobs
+            return {"figure": "f", "jobs": jobs, "reference_s": 1.0,
+                    "fast_s": 1.0, "speedup": 1.0}
+
+        monkeypatch.setattr(bench, "run_micro", lambda device, n: {
+            "trace_addresses": n, "reference_s": 1.0, "fast_s": 1.0,
+            "speedup": 1.0, "hit_rate": 0.0})
+        monkeypatch.setattr(bench, "run_end_to_end", fake_end_to_end)
+        out = tmp_path / "sim.json"
+        assert bench.main(["--jobs", "auto", "--output", str(out)]) == 0
+        assert seen["jobs"] == self.CPUS
+
+    def test_obs_overhead_driver_accepts_auto(self, monkeypatch, tmp_path):
+        import bench_obs_overhead as bench
+
+        seen = {}
+
+        def fake_overhead(device, jobs, repeat):
+            seen["jobs"] = jobs
+            return {"jobs": jobs, "repeat": repeat, "untraced_s": 1.0,
+                    "traced_s": 1.0, "overhead": 0.0, "spans_recorded": 0}
+
+        monkeypatch.setattr(bench, "run_overhead", fake_overhead)
+        out = tmp_path / "obs.json"
+        assert bench.main(["--jobs", "auto", "--output", str(out)]) == 0
+        assert seen["jobs"] == self.CPUS
 
 
 class TestDeterminism:
