@@ -28,8 +28,10 @@ import json
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from hashlib import sha256
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any
 
@@ -101,19 +103,152 @@ def _describe(obj: Any) -> Any:
     return {"__repr__": f"{type(obj).__qualname__}:{obj!r}"}
 
 
+def _dumps(obj: Any) -> str:
+    """Compact, sorted-key JSON: the serialisation every key is built from."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _json_value(value: Any) -> str:
+    """``_dumps(value)``, with the common ``str``/``int`` cases inlined."""
+    cls = type(value)
+    if cls is str:
+        return _json_str(value)
+    if cls is int:
+        return int.__repr__(value)
+    return _dumps(value)
+
+
+#: per-class encoding recipe of :func:`_encode` (see :func:`_class_layout`)
+_CLASS_LAYOUTS: dict[type, Any] = {}
+
+
+def _class_layout(cls: type) -> Any:
+    """How :func:`_encode` writes an instance of ``cls``, worked out once.
+
+    ``(head, None)`` for a kernel model, ``(head, ((key, field), ...))``
+    for a dataclass (fields in sorted-name order, each key fragment with its
+    leading comma), ``None`` for a class :func:`_describe` handles itself.
+    Subclasses of ``int``/``str``/``float`` are left to :func:`_describe`,
+    whose scalar branches come before its kernel and dataclass branches.
+    """
+    try:
+        return _CLASS_LAYOUTS[cls]
+    except KeyError:
+        pass
+    qualified = _json_str(f"{cls.__module__}.{cls.__qualname__}")
+    if issubclass(cls, (int, str, float)):
+        layout = None
+    elif issubclass(cls, KernelModel):
+        layout = ('{"__kernel__":' + qualified + ',"n_launches":', None)
+    elif is_dataclass(cls):
+        names = sorted(f.name for f in fields(cls))
+        layout = (
+            '{"__dataclass__":' + qualified + ',"fields":{',
+            tuple(
+                (("," if i else "") + _json_str(name) + ":", name)
+                for i, name in enumerate(names)
+            ),
+        )
+    else:
+        layout = None
+    _CLASS_LAYOUTS[cls] = layout
+    return layout
+
+
+def _encode(obj: Any, out: list[str]) -> None:
+    """Append ``_dumps(_describe(obj))`` to ``out`` in one pass.
+
+    Kernel models, dataclasses, tuples, lists and exact ``str``/``int``/
+    ``bool``/``float``/``None`` are written directly; every other value
+    (Enums, dicts, sets, NumPy scalars, subclasses of the scalar types) is
+    written as ``_dumps(_describe(value))``, so the bytes cannot differ.
+    """
+    cls = type(obj)
+    if cls is int:
+        out.append(int.__repr__(obj))
+    elif cls is str:
+        out.append(_json_str(obj))
+    elif cls is float:
+        out.append(f'"{obj!r}"')  # a float repr needs no JSON escaping
+    elif cls is tuple or cls is list:
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _encode(item, out)
+        out.append("]")
+    elif cls is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    else:
+        layout = _class_layout(cls)
+        if layout is None:
+            out.append(_dumps(_describe(obj)))
+            return
+        head, keys = layout
+        if keys is not None:
+            out.append(head)
+            for key, name in keys:
+                out.append(key)
+                _encode(getattr(obj, name), out)
+            out.append("}}")
+            return
+        start = len(out)
+        state = obj.structural_state()
+        out.append(head)
+        out.append(_json_value(obj.n_launches))
+        out.append(',"name":')
+        out.append(_json_value(obj.name))
+        out.append(',"state":{')
+        for i, key in enumerate(sorted(state)):
+            if type(key) is not str:
+                # json.dumps orders and spells non-str keys its own way
+                del out[start:]
+                out.append(_dumps(_describe(obj)))
+                return
+            out.append(("," if i else "") + _json_str(key) + ":")
+            _encode(state[key], out)
+        out.append("}}")
+
+
+#: id(device) -> (device, its key JSON); see :func:`_device_json`
+_DEVICE_JSON: dict[int, tuple[DeviceSpec, str]] = {}
+_DEVICE_JSON_MAX = 16
+
+
+def _device_json(device: DeviceSpec) -> str:
+    """``_dumps(_describe(device))``, serialised once per device object.
+
+    The memo is keyed by identity, not by ``==``/``hash``: specs that
+    compare equal can still describe differently (``peak_gflops=5000`` and
+    ``5000.0`` are equal but key as ``5000`` and ``"5000.0"``).  Each entry
+    holds its device, so an ``id`` cannot be reused while its entry lives.
+    ``DeviceSpec`` is frozen, so a device's description cannot change.
+    """
+    entry = _DEVICE_JSON.get(id(device))
+    if entry is None:
+        entry = (device, _dumps(_describe(device)))
+        if len(_DEVICE_JSON) >= _DEVICE_JSON_MAX:
+            _DEVICE_JSON.pop(next(iter(_DEVICE_JSON)), None)
+        _DEVICE_JSON[id(device)] = entry
+    return entry[1]
+
+
 def structural_key(model: KernelModel, device: DeviceSpec) -> str:
     """Content-addressed cache key for timing ``model`` on ``device``.
 
     The key hashes the model's full structural description together with
     every field of the device spec (not just its name: two specs that share
-    a name but differ in, say, bandwidth must not share timings).
+    a name but differ in, say, bandwidth must not share timings).  The
+    hashed payload is exactly ``_dumps({"device": _describe(device),
+    "kernel": _describe(model)})``, built in one pass by :func:`_encode`
+    around the device's memoised fragment.
     """
-    payload = json.dumps(
-        {"device": _describe(device), "kernel": _describe(model)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = sha256(payload.encode()).hexdigest()[:32]
+    out = ['{"device":', _device_json(device), ',"kernel":']
+    _encode(model, out)
+    out.append("}")
+    digest = sha256("".join(out).encode()).hexdigest()[:32]
     return f"{model.name}@{device.name}#{digest}"
 
 
@@ -289,7 +424,26 @@ class SimStats:
 # The session object
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 1
+#: 2 added ``model_code``; version-1 readers would ignore that field
+_CACHE_FORMAT_VERSION = 2
+
+
+@cache
+def model_code_fingerprint() -> str:
+    """sha256 over the sources of ``repro.gpusim`` and ``repro.layers``.
+
+    A saved timing cache records it and is loaded only under the same
+    value, so no cache file serves timings from other model code.  The file
+    set and hashing match the benchmark manifest's ``model_fingerprint``
+    (its first 16 hex digits).  Hashed on first use, not at import.
+    """
+    src = Path(__file__).resolve().parents[2]
+    digest = sha256()
+    for package in ("gpusim", "layers"):
+        for path in sorted((src / "repro" / package).rglob("*.py")):
+            digest.update(str(path.relative_to(src)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class SimulationContext:
@@ -536,12 +690,14 @@ class SimulationContext:
         return new
 
     def save_cache(self, path: str | Path | None = None) -> Path:
-        """Persist the timing cache as JSON for cross-process reuse."""
+        """Persist the timing cache as JSON for cross-process reuse, tagged
+        with the :func:`model_code_fingerprint` it was computed under."""
         target = Path(path) if path is not None else self.cache_path
         if target is None:
             raise ValueError("no cache path given and none configured")
         payload = {
             "version": _CACHE_FORMAT_VERSION,
+            "model_code": model_code_fingerprint(),
             "entries": {k: _stats_to_dict(v) for k, v in self._cache.items()},
         }
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -552,8 +708,9 @@ class SimulationContext:
         """Merge entries from a cache file; returns the number loaded.
 
         A cache file is an accelerator, never an input: unknown format
-        versions, damaged JSON, and malformed entries are all ignored (the
-        session simply re-times what it cannot load).
+        versions, files saved by other model code (a missing or different
+        ``model_code`` fingerprint), damaged JSON, and malformed entries are
+        all ignored (the session simply re-times what it cannot load).
         """
         source = Path(path)
         try:
@@ -563,6 +720,8 @@ class SimulationContext:
         if not isinstance(payload, dict):
             return 0
         if payload.get("version") != _CACHE_FORMAT_VERSION:
+            return 0
+        if payload.get("model_code") != model_code_fingerprint():
             return 0
         loaded = 0
         for key, entry in payload.get("entries", {}).items():

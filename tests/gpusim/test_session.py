@@ -1,6 +1,8 @@
 """Simulation sessions: structural cache, counters, persistence, OOM."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.gpusim import (
     structural_key,
 )
 from repro.gpusim.device import TITAN_BLACK, TITAN_X
+from repro.gpusim.session import model_code_fingerprint
 from repro.layers import PoolSpec
 from repro.layers.pooling_kernels import make_pool_kernel
 
@@ -159,6 +162,31 @@ class TestPersistence:
         ctx = SimulationContext(device)
         assert ctx.load_cache(path) == 0
         assert ctx.cache_size == 0
+
+    @pytest.mark.parametrize("model_code", ["0" * 64, None], ids=["other", "missing"])
+    def test_other_model_code_ignored(self, device, tmp_path, model_code):
+        """A file saved under other model code would serve stale timings."""
+        hot = SimulationContext(device)
+        hot.run(ToyKernel())
+        target = hot.save_cache(tmp_path / "cache.json")
+        payload = json.loads(target.read_text())
+        assert payload["model_code"] == model_code_fingerprint()
+        if model_code is None:
+            del payload["model_code"]
+        else:
+            payload["model_code"] = model_code
+        target.write_text(json.dumps(payload))
+        ctx = SimulationContext(device, cache_path=target)
+        assert ctx.cache_size == 0
+        ctx.run(ToyKernel())
+        assert ctx.stats.misses == 1
+
+    def test_fingerprint_is_not_computed_at_import(self):
+        code = (
+            "import repro, repro.gpusim.session as s; "
+            "assert s.model_code_fingerprint.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_damaged_file_is_never_fatal(self, device, tmp_path):
         """A cache file is an accelerator, not an input: corruption must

@@ -131,6 +131,25 @@ class TestJobsArgument:
         assert bench.main(["--jobs", "auto", "--output", str(out)]) == 0
         assert seen["jobs"] == self.CPUS
 
+    def test_planner_perf_driver_accepts_auto(self, monkeypatch, tmp_path):
+        import bench_planner_perf as bench
+
+        seen = {}
+
+        def fake_end_to_end(device, jobs):
+            seen["jobs"] = jobs
+            return {"figures": ["f"], "jobs": jobs, "scalar_s": 1.0,
+                    "batched_serial_s": 1.0, "serial_speedup": 1.0,
+                    "batched_s": 1.0, "warm_s": 1.0, "warm_speedup": 1.0}
+
+        monkeypatch.setattr(bench, "run_micro", lambda device: {
+            "candidates": 1, "scalar_cand_per_s": 1.0,
+            "batched_cand_per_s": 1.0, "speedup": 1.0})
+        monkeypatch.setattr(bench, "run_end_to_end", fake_end_to_end)
+        out = tmp_path / "planner.json"
+        assert bench.main(["--jobs", "auto", "--output", str(out)]) == 0
+        assert seen["jobs"] == self.CPUS
+
 
 class TestDeterminism:
     def test_traced_kernels_are_deterministic(self, device):
