@@ -33,6 +33,12 @@ Two implementations share one state representation:
 Both paths maintain identical state — tags, LRU stamps, counters — bit for
 bit, which the property tests in ``tests/gpusim/test_cache_equivalence.py``
 assert on randomized and adversarial traces.
+
+A stream replayed into an empty cache (the traced pooling profiles replay
+each stream into a fresh L2) skips the set partition for every set that
+never evicts: one stable sort of line ids gives each line's first and last
+touch, which is all the closed form needs, and only the sets that overflow
+go through the partitioned replay.
 """
 
 from __future__ import annotations
@@ -235,7 +241,8 @@ class SetAssociativeCache:
         Dispatches to the vectorized fast path unless this cache (or the
         module default, see :func:`set_fast_path`) selects the scalar
         reference.  Both produce identical hit masks, counters, and final
-        tag/stamp state.
+        tag/stamp state.  On the fast path, a cache that has seen no access
+        yet replays through :meth:`_cold_replay`.
         """
         enabled = self.fast_path if self.fast_path is not None else _FAST_PATH_DEFAULT
         if not enabled:
@@ -246,7 +253,10 @@ class SetAssociativeCache:
             return self.reference_access_stream(addr)
         if not addr.size:
             return self._finish(np.zeros(0, dtype=bool), 0, t0)
-        hits, evictions = self._fast_replay(addr)
+        # The clock only ever advances with accesses, so at 0 every way is
+        # still invalid.
+        replay = self._cold_replay if self._clock == 0 else self._fast_replay
+        hits, evictions = replay(addr)
         return self._finish(hits, evictions, t0)
 
     # -- scalar reference ---------------------------------------------------
@@ -284,6 +294,61 @@ class SetAssociativeCache:
         return self._finish(hits, evictions, t0)
 
     # -- vectorized fast path -----------------------------------------------
+    def _cold_replay(self, addr: np.ndarray) -> tuple[np.ndarray, int]:
+        """:meth:`_fast_replay` for a cache whose ways are all invalid.
+
+        A set whose distinct lines fit the associativity never evicts: each
+        line misses on its first touch only, fills the next invalid way in
+        order of first touch (the reference's ``argmin`` over stamp 0) and
+        ends stamped with its last touch.  One stable sort of the line ids
+        gives every line's first and last touch, so those sets need no
+        partition.  The accesses of the sets that overflow go through
+        :meth:`_fast_replay` (sets are independent); its stamps count from
+        the sub-stream's indices and are mapped back to the stream's.
+        """
+        n = addr.size
+        clock0 = self._clock
+        lines = addr // self.line_bytes
+        order = np.argsort(lines, kind="stable")  # stream order within a line
+        slines = lines[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(slines[1:], slines[:-1], out=first[1:])
+        last = np.append(first[1:], True)
+        dlines = slines[first]  # distinct lines and their first and last touch
+        line_first = order[first]
+        line_last = order[last]
+        del order, slines, first, last
+        dsets = dlines % self.n_sets
+        fits = np.bincount(dsets, minlength=self.n_sets) <= self.assoc
+        closed = np.flatnonzero(fits[dsets])
+        if not closed.size:
+            return self._fast_replay(addr)
+
+        hits = np.ones(n, dtype=bool)
+        hits[line_first[closed]] = False
+        # Ways fill in order of first touch: rank each line within its set.
+        csets = dsets[closed]
+        by_touch = np.argsort(csets * n + line_first[closed])  # keys are distinct
+        closed, csets = closed[by_touch], csets[by_touch]
+        starts = np.flatnonzero(np.append(True, csets[1:] != csets[:-1]))
+        lengths = np.diff(np.append(starts, csets.size))
+        ways = np.arange(csets.size) - np.repeat(starts, lengths)
+        self._tags[csets, ways] = dlines[closed]
+        self._stamp[csets, ways] = clock0 + 1 + line_last[closed]
+
+        evictions = 0
+        if closed.size < dlines.size:
+            over = np.flatnonzero(~fits[lines % self.n_sets])
+            del lines, dlines, dsets, line_first, line_last, closed, csets
+            hits[over], evictions = self._fast_replay(addr[over])
+            # Overflowing sets fill every way, each stamped with a sub-stream
+            # index; map it back to the stream index.
+            rows = np.flatnonzero(~fits)
+            self._stamp[rows] = clock0 + 1 + over[self._stamp[rows] - clock0 - 1]
+        self._clock = clock0 + n
+        return hits, evictions
+
     def _fast_replay(self, addr: np.ndarray) -> tuple[np.ndarray, int]:
         """Set-partitioned replay of ``addr``; returns (hit mask, evictions).
 
@@ -303,6 +368,7 @@ class SetAssociativeCache:
         ssets = sets[order]
         slines = lines[order]
         sstamps = clock0 + 1 + order
+        del lines, sets  # stream-order copies; keep the replay's peak down
 
         # Collapse adjacent duplicates within each set's subsequence: a
         # back-to-back re-touch of the same line (no other access to that
@@ -366,6 +432,7 @@ class SetAssociativeCache:
                 (valid_per_run > 0)[up_run][pc],
             )
 
+        del pkey, porder, pair_first, first_pos, up_sets, up_run
         if not access_closed.all():
             open_mask = ~access_closed
             rank = np.arange(ssets.size) - run_start[run_of]

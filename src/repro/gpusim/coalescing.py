@@ -102,20 +102,42 @@ def _first_touches(
         raise ValueError(
             f"{addr.shape[1]} lanes exceeds warp size {device.warp_size}"
         )
-    seg = device.transaction_bytes
-    active = addr >= 0
-    first = addr // seg  # floor division keeps inactive lanes negative
-    # An access of `access_bytes` starting at addr may straddle two segments,
-    # touching both its first and last byte's segment.  Aligned accesses
-    # never do, and then the first segments alone are the whole set.
-    last = (addr + access_bytes - 1) // seg
-    if (active & (last != first)).any():
-        first = np.concatenate([first, np.where(active, last, np.int64(-1))], axis=1)
-    ordered = np.sort(first, axis=1)
+    return segment_touches(addr, device.transaction_bytes, access_bytes)[1]
+
+
+def segment_touches(
+    addresses: np.ndarray, segment_bytes: int, access_bytes: int = 4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sorted segment ids of a ``(warps, lanes)`` int64 trace and its
+    first-touch mask.
+
+    The mask has one True per distinct segment a warp's active lanes touch,
+    so ``segments[new]`` lists each warp's distinct segments, ascending, in
+    warp order.
+    """
+    # Floor division keeps inactive lanes negative; for a power-of-two
+    # segment the arithmetic shift floors too, and costs less.
+    if segment_bytes & (segment_bytes - 1):
+        first = addresses // segment_bytes
+        offset = addresses - first * segment_bytes
+    else:
+        first = addresses >> (int(segment_bytes).bit_length() - 1)
+        offset = addresses & (segment_bytes - 1)
+    # An access of `access_bytes` starting at addr straddles two segments,
+    # touching both its first and last byte's segment, when it starts in
+    # its segment's last access_bytes - 1 bytes.  Aligned accesses never
+    # do, and then the first segments alone are the whole set.
+    straddles = offset > segment_bytes - access_bytes
+    if straddles.any():
+        active = addresses >= 0
+        if (straddles & active).any():
+            last = (addresses + access_bytes - 1) // segment_bytes
+            first = np.concatenate([first, np.where(active, last, np.int64(-1))], axis=1)
+    segments = np.sort(first, axis=1)
     # A segment is newly touched where it differs from its left neighbour.
-    new = ordered >= 0
-    new[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
-    return new
+    new = segments >= 0
+    new[:, 1:] &= segments[:, 1:] != segments[:, :-1]
+    return segments, new
 
 
 def analyze_warps(

@@ -430,16 +430,18 @@ _CACHE_FORMAT_VERSION = 2
 
 @cache
 def model_code_fingerprint() -> str:
-    """sha256 over the sources of ``repro.gpusim`` and ``repro.layers``.
+    """sha256 over the sources of ``repro.gpusim``, ``repro.layers`` and
+    ``repro.tensors`` (the layout-transform kernels).
 
     A saved timing cache records it and is loaded only under the same
-    value, so no cache file serves timings from other model code.  The file
-    set and hashing match the benchmark manifest's ``model_fingerprint``
-    (its first 16 hex digits).  Hashed on first use, not at import.
+    value, so no cache file serves timings from other model code.  Files
+    are hashed as the benchmark manifest's ``model_fingerprint`` hashes
+    them, but that covers only ``repro.gpusim`` and ``repro.layers``, so the
+    two digests differ.  Hashed on first use, not at import.
     """
     src = Path(__file__).resolve().parents[2]
     digest = sha256()
-    for package in ("gpusim", "layers"):
+    for package in ("gpusim", "layers", "tensors"):
         for path in sorted((src / "repro" / package).rglob("*.py")):
             digest.update(str(path.relative_to(src)).encode())
             digest.update(path.read_bytes())

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SetAssociativeCache
-from .coalescing import CoalescingReport, analyze_warps, warp_transactions
+from .coalescing import (
+    CoalescingReport,
+    analyze_warps,
+    segment_touches,
+    warp_transactions,
+)
 from .device import DeviceSpec
 
 
@@ -51,6 +56,7 @@ def transaction_stream(
     warp_addresses: np.ndarray,
     segment_bytes: int,
     max_transactions: int | None = None,
+    access_bytes: int = 1,
 ) -> np.ndarray:
     """Post-coalescing transaction addresses for a ``(warps, lanes)`` trace.
 
@@ -60,8 +66,10 @@ def transaction_stream(
     without tripping the cache's negative-address check.  Each warp
     contributes its distinct ``segment_bytes``-sized segments (ascending,
     as one coalesced burst), in warp order — the order the memory system
-    sees them.  When ``max_transactions`` is set, whole warps are kept up
-    to and including the warp whose transactions first reach the cap.
+    sees them.  An ``access_bytes`` access that straddles two segments
+    contributes both, as in :func:`~repro.gpusim.coalescing.analyze_warps`.
+    When ``max_transactions`` is set, whole warps are kept up to and
+    including the warp whose transactions first reach the cap.
     """
     if segment_bytes <= 0:
         raise ValueError("segment_bytes must be positive")
@@ -72,15 +80,12 @@ def transaction_stream(
         raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
     if not addr.size:
         return np.empty(0, dtype=np.int64)
-    segments = np.sort(np.where(addr >= 0, addr // segment_bytes, np.int64(-1)), axis=1)
-    keep = segments >= 0
-    keep[:, 1:] &= segments[:, 1:] != segments[:, :-1]
+    segments, new = segment_touches(addr, segment_bytes, access_bytes)
     if max_transactions is not None:
-        cum = np.cumsum(keep.sum(axis=1))
-        cut = int(np.searchsorted(cum, max_transactions))
-        if cut + 1 < keep.shape[0]:
-            keep[cut + 1 :] = False
-    return segments[keep] * segment_bytes
+        cum = np.cumsum(new.sum(axis=1))
+        cut = int(np.searchsorted(cum, max_transactions)) + 1
+        segments, new = segments[:cut], new[:cut]
+    return segments[new] * segment_bytes
 
 
 @dataclass(frozen=True)
@@ -106,17 +111,17 @@ def analyze_trace(
 ) -> TraceResult:
     """Run a ``(warps, lanes)`` load trace through coalescing and the L2.
 
-    The L2 pass replays the post-coalescing transaction stream through the
-    set-associative model; when the stream is longer than
-    ``max_l2_transactions`` a contiguous window is used, which preserves the
-    short-reuse-distance hits that matter (cross-warp window overlap) while
-    keeping simulation cheap.
+    The L2 pass replays the post-coalescing transaction stream, straddling
+    accesses included, through a fresh set-associative model; when the
+    stream is longer than ``max_l2_transactions`` a contiguous window is
+    used, which preserves the short-reuse-distance hits that matter
+    (cross-warp window overlap) while keeping simulation cheap.
     """
     report = analyze_warps(warp_addresses, device, access_bytes)
     hit_rate = 0.0
     if use_l2 and report.transactions:
         flat = transaction_stream(
-            warp_addresses, device.transaction_bytes, max_l2_transactions
+            warp_addresses, device.transaction_bytes, max_l2_transactions, access_bytes
         )
         if flat.size:
             l2 = SetAssociativeCache.l2_for(device)

@@ -27,11 +27,9 @@ from math import ceil
 
 import numpy as np
 
-from ..gpusim.cache import SetAssociativeCache
-from ..gpusim.coalescing import analyze_warps
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
-from ..gpusim.trace import sample_indices, transaction_stream
+from ..gpusim.trace import analyze_trace, sample_indices
 from .base import PoolSpec
 from .pooling import tile_footprint
 
@@ -204,30 +202,28 @@ class _TracedNCHWPooling(_PoolingKernelBase):
     def _build_profile(self, device: DeviceSpec) -> MemoryProfile:
         s = self.spec
         stacked, n_warps, n_sampled = self._stacked_loads(device)
-        report = analyze_warps(stacked, device, access_bytes=_ITEM)
-        load_trans = report.transactions * (n_warps / n_sampled)
+        # Strided multi-map streams thrash L2 across warp instructions (the
+        # concurrent working set spans N*C feature maps), so fetched
+        # transactions are charged to DRAM in the timing model.  The traced
+        # hit rate *measures* that thrash on the sampled stream and is
+        # reported as a diagnostic.
+        traced = analyze_trace(
+            stacked,
+            device,
+            access_bytes=_ITEM,
+            max_l2_transactions=self.max_l2_transactions,
+        )
+        load_trans = traced.coalescing.transactions * (n_warps / n_sampled)
         loads = float(s.out_elements * s.window * s.window * _ITEM)
         store_factor = 2.0 if self.writes_mask else 1.0
         stores = float(s.out_desc().nbytes) * store_factor
-        # Strided multi-map streams thrash L2 across warp instructions (the
-        # concurrent working set spans N*C feature maps), so fetched
-        # transactions are charged to DRAM in the timing model.  The cache
-        # replay below *measures* that thrash on the sampled stream and is
-        # reported as a diagnostic.
-        stream = transaction_stream(
-            stacked, device.transaction_bytes, self.max_l2_transactions
-        )
-        traced_hit = 0.0
-        if stream.size:
-            l2 = SetAssociativeCache.l2_for(device)
-            traced_hit = float(l2.access_stream(stream).mean())
         return MemoryProfile(
             load_bytes=loads,
             store_bytes=stores,
             load_transactions=load_trans,
             store_transactions=stores / 32.0,
             l2_hit_rate=0.0,
-            traced_l2_hit_rate=traced_hit,
+            traced_l2_hit_rate=traced.l2_hit_rate,
         )
 
 

@@ -1,11 +1,14 @@
 """Simulation sessions: structural cache, counters, persistence, OOM."""
 
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro.gpusim.session as session
 from repro.gpusim import (
     ComposedKernel,
     GpuOutOfMemoryError,
@@ -180,6 +183,32 @@ class TestPersistence:
         assert ctx.cache_size == 0
         ctx.run(ToyKernel())
         assert ctx.stats.misses == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "gpusim/cache.py",
+            "layers/pooling_kernels.py",
+            "tensors/transform_kernels.py",
+        ],
+    )
+    def test_fingerprint_covers_model_sources(self, tmp_path, monkeypatch, source):
+        """Editing any model source, the layout-transform kernels included,
+        changes the fingerprint."""
+        real = Path(session.__file__).resolve().parents[1]
+        for package in ("gpusim", "layers", "tensors"):
+            shutil.copytree(
+                real / package,
+                tmp_path / "repro" / package,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        copy = tmp_path / "repro" / "gpusim" / "session.py"
+        monkeypatch.setattr(session, "__file__", str(copy))
+        fingerprint = model_code_fingerprint.__wrapped__
+        assert fingerprint() == model_code_fingerprint()
+        with open(tmp_path / "repro" / source, "a") as f:
+            f.write("# edited\n")
+        assert fingerprint() != model_code_fingerprint()
 
     def test_fingerprint_is_not_computed_at_import(self):
         code = (

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from repro.gpusim import (
     TITAN_BLACK,
     analyze_trace,
+    analyze_warps,
     sample_indices,
     strided_pattern,
+    transaction_stream,
     transactions_for_stride,
     warp_transactions,
     warps_from_threads,
 )
+from repro.obs import Tracer, install_tracer, uninstall_tracer
+from tests.gpusim.test_coalescing import warp_traces
 
 
 class TestWarpsFromThreads:
@@ -92,3 +96,44 @@ class TestAnalyzeTrace:
             strided_pattern(4, 4, device), device, sampled_fraction=0.25
         )
         assert result.scale() == pytest.approx(4.0)
+
+
+def _reference_stream(addr, segment_bytes, access_bytes):
+    """Each warp's touched segments, every byte of every active lane's
+    access included, ascending, in warp order."""
+    stream = []
+    for row in np.asarray(addr).tolist():
+        touched = set()
+        for a in row:
+            if a >= 0:
+                last = (a + access_bytes - 1) // segment_bytes
+                touched.update(range(a // segment_bytes, last + 1))
+        stream.extend(sorted(touched))
+    return [seg * segment_bytes for seg in stream]
+
+
+class TestStreamMatchesCoalescing:
+    """The transaction stream replays exactly the transactions the
+    coalescing unit counts, straddling accesses included."""
+
+    @given(trace=warp_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_uncapped_stream_is_every_counted_transaction(self, trace):
+        addr, access_bytes = trace
+        seg = TITAN_BLACK.transaction_bytes
+        stream = transaction_stream(addr, seg, access_bytes=access_bytes)
+        assert stream.tolist() == _reference_stream(addr, seg, access_bytes)
+        report = analyze_warps(addr, TITAN_BLACK, access_bytes)
+        assert stream.size == report.transactions
+
+    def test_analyze_trace_replays_straddling_transactions(self, device):
+        # Lane 31's float spans bytes 126..129: 4 first segments + 1 straddled.
+        trace = strided_pattern(8, 4, device, base=2)
+        tracer = install_tracer(Tracer("test"))
+        try:
+            result = analyze_trace(trace, device)
+        finally:
+            uninstall_tracer()
+        assert result.coalescing.transactions == 8 * 5
+        (span,) = [s for s in tracer.spans() if s.category == "sim.cache"]
+        assert span.attrs["accesses"] == result.coalescing.transactions

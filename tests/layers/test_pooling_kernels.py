@@ -7,8 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import TITAN_BLACK, TITAN_X, SetAssociativeCache, simulate
-from repro.gpusim.trace import sample_indices
+from repro.framework import resolve
+from repro.gpusim import (
+    TITAN_BLACK,
+    TITAN_X,
+    MemoryProfile,
+    SetAssociativeCache,
+    analyze_warps,
+    simulate,
+)
+from repro.gpusim.trace import sample_indices, transaction_stream
 from repro.layers import (
     PoolingCHWN,
     PoolingCoarsenedCHWN,
@@ -17,7 +25,7 @@ from repro.layers import (
     PoolSpec,
     make_pool_kernel,
 )
-from repro.networks import POOL_LAYERS
+from repro.networks import NETWORK_BUILDERS, POOL_LAYERS, build_network
 from tests.gpusim.test_coalescing import reference_transactions
 
 
@@ -264,3 +272,57 @@ class TestTracedProfileEquivalence:
         hits = l2.reference_access_stream(stream)
         expected = float(hits.mean()) if stream.size else 0.0
         assert profile.traced_l2_hit_rate == expected
+
+
+def _three_call_profile(kernel, device):
+    """The traced profile as three separate passes build it: coalescing by
+    ``analyze_warps``, the stream by ``transaction_stream`` (first segments
+    only), and the hit rate by a fresh L2's set-partitioned replay, which
+    does not special-case an empty cache."""
+    s = kernel.spec
+    stacked, n_warps, n_sampled = kernel._stacked_loads(device)
+    report = analyze_warps(stacked, device, access_bytes=4)
+    stream = transaction_stream(
+        stacked, device.transaction_bytes, kernel.max_l2_transactions
+    )
+    hit = 0.0
+    if stream.size:
+        l2 = SetAssociativeCache.l2_for(device)
+        hit = float(l2._fast_replay(stream)[0].mean())
+    stores = float(s.out_desc().nbytes) * (2.0 if kernel.writes_mask else 1.0)
+    return MemoryProfile(
+        load_bytes=float(s.out_elements * s.window * s.window * 4),
+        store_bytes=stores,
+        load_transactions=report.transactions * (n_warps / n_sampled),
+        store_transactions=stores / 32.0,
+        l2_hit_rate=0.0,
+        traced_l2_hit_rate=hit,
+    )
+
+
+def _pool_specs(source):
+    if source == "table1":
+        return set(POOL_LAYERS.values())
+    return {
+        layer.spec
+        for batch in (16, 32, 64, 128, 256)
+        for layer in resolve(build_network(source, batch))
+        if isinstance(layer.spec, PoolSpec)
+    }
+
+
+class TestTracedProfileGolden:
+    """Every pool shape the networks produce at five batch sizes, and Table
+    1's, on both devices and both NCHW kernels: the traced profile, priced
+    by the empty-cache replay, equals the three-pass build byte for byte."""
+
+    @pytest.mark.parametrize("source", [*NETWORK_BUILDERS, "table1"])
+    def test_profiles_match_three_pass_build(self, source):
+        specs = _pool_specs(source)
+        assert specs
+        for spec in sorted(specs, key=repr):
+            for device in (TITAN_BLACK, TITAN_X):
+                for cls in (PoolingNCHWLinear, PoolingNCHWBlockPerRow):
+                    got = cls(spec).memory_profile(device)
+                    want = _three_call_profile(cls(spec), device)
+                    assert repr(got) == repr(want), (spec, device.name, cls.__name__)
