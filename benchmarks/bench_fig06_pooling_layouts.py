@@ -10,9 +10,7 @@ from __future__ import annotations
 from figutil import FigureTable, bench_arg_parser, geomean
 
 from repro.gpusim import SimulationContext, default_context
-from repro.gpusim.batch import batched_eval_enabled
 from repro.gpusim.exec import evaluate_cells, map_chunks
-from repro.gpusim.parallel import parallel_map
 from repro.layers import make_pool_kernel
 from repro.networks import POOL_LAYERS
 
@@ -24,15 +22,9 @@ def effective_bw(spec, time_ms: float) -> float:
     return useful / (time_ms * 1e6)
 
 
-def _time_cell(context: SimulationContext, task) -> float:
-    """Scalar reference: one pooling layout evaluated on its own."""
-    name, spec, impl = task
-    return context.run(make_pool_kernel(spec, impl), check_memory=False).time_ms
-
-
 def _time_chunk(context: SimulationContext, tasks) -> list[float]:
-    """Batched ``_time_cell``: every layout in the chunk priced in one
-    memoized vectorized evaluation."""
+    """Time per (layer, spec, layout) task: every layout in the chunk
+    priced in one memoized vectorized evaluation."""
     models = [make_pool_kernel(spec, impl) for _, spec, impl in tasks]
     times = []
     for out in evaluate_cells(context, models, check_memory=False):
@@ -40,12 +32,6 @@ def _time_chunk(context: SimulationContext, tasks) -> list[float]:
             raise out
         times.append(out.time_ms)
     return times
-
-
-def _cell_times(ctx: SimulationContext, tasks, jobs: int | str) -> list[float]:
-    if batched_eval_enabled():
-        return map_chunks(_time_chunk, tasks, ctx, jobs=jobs)
-    return parallel_map(_time_cell, tasks, ctx, jobs=jobs)
 
 
 def build_figure(device, jobs: int | str = 1, context: SimulationContext | None = None) -> FigureTable:
@@ -60,7 +46,7 @@ def build_figure(device, jobs: int | str = 1, context: SimulationContext | None 
         for name, spec in POOL_LAYERS.items()
         for impl in _IMPLS
     ]
-    times = _cell_times(ctx, tasks, jobs)
+    times = map_chunks(_time_chunk, tasks, ctx, jobs=jobs)
     grid = dict(zip([(t[0], t[2]) for t in tasks], times))
     for name, spec in POOL_LAYERS.items():
         t_conv = grid[(name, "chwn")]

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field
 
-from repro.gpusim.parallel import resolve_jobs
+from repro.gpusim.exec import resolve_jobs
 
 
 def parse_jobs(value: str) -> int:
     """``--jobs`` argument: an integer or the literal ``auto``, resolved to
-    a worker count by :func:`repro.gpusim.parallel.resolve_jobs`."""
+    a worker count by :func:`repro.gpusim.exec.resolve_jobs`."""
     try:
         return resolve_jobs(value)
     except ValueError:

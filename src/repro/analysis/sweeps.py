@@ -13,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..gpusim.batch import batched_eval_enabled
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import GpuOutOfMemoryError
 from ..gpusim.exec import evaluate_cells, map_chunks
-from ..gpusim.parallel import parallel_map
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
@@ -78,7 +75,7 @@ def crossovers(result: SweepResult) -> list[tuple[int, str, str]]:
 @dataclass(frozen=True)
 class _Cell:
     """One picklable grid cell: enough to rebuild and time its kernel in
-    any process (see :mod:`repro.gpusim.parallel`)."""
+    any process (see :func:`repro.gpusim.exec.map_chunks`)."""
 
     kind: str  # "conv" | "pool" | "softmax"
     base: Any
@@ -99,25 +96,13 @@ def _cell_kernel(cell: _Cell) -> Any:
     return make_softmax_kernel(spec, cell.implementation)
 
 
-def _eval_cell(context: SimulationContext, cell: _Cell) -> SweepPoint:
-    """Scalar reference: time one cell through ``context.run``."""
-    try:
-        stats = context.run(_cell_kernel(cell), check_memory=cell.check_memory)
-    except (ConvUnsupportedError, GpuOutOfMemoryError, ValueError):
-        return SweepPoint(cell.value, cell.implementation, None, None)
-    return SweepPoint(
-        cell.value, cell.implementation, stats.time_ms, stats.achieved_gflops
-    )
-
-
 def _eval_cells(context: SimulationContext, cells: list[_Cell]) -> list[SweepPoint]:
-    """Batched path: one memoized, fused evaluation per chunk of cells.
+    """One memoized, fused evaluation per chunk of cells.
 
     Kernel-construction failures (unsupported shapes) and per-candidate
-    evaluation failures (OOM, launch validation) become the same failed
-    points the scalar loop produces.  Cells whose structural key is
-    already cached skip the analytic stack entirely (see
-    :func:`repro.gpusim.exec.evaluate_cells`).
+    evaluation failures (OOM, launch validation) become failed points.
+    Cells whose structural key is already cached skip the analytic stack
+    entirely (see :func:`repro.gpusim.exec.evaluate_cells`).
     """
     points: list[SweepPoint | None] = [None] * len(cells)
     models = []
@@ -168,13 +153,10 @@ def _run_grid(
         implementations=list(implementations),
         jobs=jobs or 1,
     ):
-        if batched_eval_enabled():
-            # The execution engine memoizes repeated cells, fuses each
-            # chunk into one vectorized evaluation (the whole grid when
-            # serial), and fans chunks over the warm worker pool.
-            points = map_chunks(_eval_cells, cells, context, jobs=jobs)
-        else:
-            points = parallel_map(_eval_cell, cells, context, jobs=jobs)
+        # The execution engine memoizes repeated cells, fuses each chunk
+        # into one vectorized evaluation (the whole grid when serial), and
+        # fans chunks over the warm worker pool.
+        points = map_chunks(_eval_cells, cells, context, jobs=jobs)
     return SweepResult(
         dimension=dimension,
         values=tuple(values),

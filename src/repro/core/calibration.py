@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..gpusim.batch import batched_eval_enabled
 from ..gpusim.device import DeviceSpec
 from ..gpusim.exec import evaluate_cells, map_chunks
-from ..gpusim.parallel import parallel_map
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec
@@ -61,17 +59,11 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def _time_both(context: SimulationContext, spec: ConvSpec) -> tuple[float, float]:
-    chwn = context.run(make_conv_kernel(spec, "direct"), check_memory=False).time_ms
-    nchw = context.run(make_conv_kernel(spec, "im2col"), check_memory=False).time_ms
-    return chwn, nchw
-
-
 def _time_both_chunk(
     context: SimulationContext, specs: list[ConvSpec]
 ) -> list[tuple[float, float]]:
-    """Batched ``_time_both``: both layouts of every sweep point in one
-    memoized vectorized evaluation (calibration points never fail, so any
+    """(CHWN ms, NCHW ms) per sweep point: both layouts of every point in
+    one memoized vectorized evaluation (calibration points never fail, so any
     in-slot exception is a real error and re-raises)."""
     models = []
     for spec in specs:
@@ -87,14 +79,6 @@ def _time_both_chunk(
             raise nchw
         times.append((chwn.time_ms, nchw.time_ms))
     return times
-
-
-def _sweep_times(
-    ctx: SimulationContext, specs: list[ConvSpec], jobs: int | str | None
-) -> list[tuple[float, float]]:
-    if batched_eval_enabled():
-        return map_chunks(_time_both_chunk, specs, ctx, jobs=jobs)
-    return parallel_map(_time_both, specs, ctx, jobs=jobs)
 
 
 def calibrate(
@@ -123,8 +107,11 @@ def calibrate(
     with obs_span(
         "calibrate:n-sweep", "calibrate", device=device.name, points=len(n_sorted)
     ):
-        n_times = _sweep_times(
-            ctx, [replace(reference, n=n) for n in n_sorted], jobs
+        n_times = map_chunks(
+            _time_both_chunk,
+            [replace(reference, n=n) for n in n_sorted],
+            ctx,
+            jobs=jobs,
         )
     n_points = [
         SweepPoint(n, chwn, nchw) for n, (chwn, nchw) in zip(n_sorted, n_times)
@@ -137,8 +124,11 @@ def calibrate(
     with obs_span(
         "calibrate:c-sweep", "calibrate", device=device.name, points=len(c_sorted)
     ):
-        c_times = _sweep_times(
-            ctx, [replace(reference, ci=c, n=c_batch) for c in c_sorted], jobs
+        c_times = map_chunks(
+            _time_both_chunk,
+            [replace(reference, ci=c, n=c_batch) for c in c_sorted],
+            ctx,
+            jobs=jobs,
         )
     c_points = [
         SweepPoint(c, chwn, nchw) for c, (chwn, nchw) in zip(c_sorted, c_times)

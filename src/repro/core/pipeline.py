@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from math import prod
 from typing import Callable, Sequence
 
-from ..gpusim.batch import batched_eval_enabled
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine import SimulationEngine
 from ..gpusim.exec import evaluate_cells, map_chunks
@@ -102,7 +101,7 @@ class PipelineOptions:
     #: offending pass.  Verification is observational: the planned result
     #: is byte-identical with it on or off.
     verify: bool = False
-    #: worker processes for the batched transform-cost precompute
+    #: worker processes for the transform-cost precompute
     #: (``"auto"`` = one per CPU); plans are identical for any value
     jobs: int | str | None = None
 
@@ -120,9 +119,11 @@ class PassContext:
     options: PipelineOptions
     engine: SimulationEngine
     costs: dict[str, _LayerCosts] = field(default_factory=dict)
-    #: batched per-edge transform costs (populated by ``AssignLayouts``
-    #: when batched evaluation is enabled; ``None`` → scalar queries)
-    edge_costs: "TransformCostTable | None" = None
+    #: per-edge transform costs (precomputed by ``AssignLayouts``)
+    edge_costs: "TransformCostTable" = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.edge_costs = TransformCostTable(self.device)
 
 
 @dataclass(frozen=True)
@@ -272,27 +273,6 @@ def _edge_desc(
     return dims, src, dst
 
 
-def edge_transform_ms(
-    device: DeviceSpec,
-    producer: GraphNode | None,
-    consumer: GraphNode,
-    src: DataLayout,
-    dst: DataLayout,
-) -> float:
-    """Transform cost on one producer→consumer edge (scalar reference).
-
-    Generalizes the legacy per-node ``_transform_ms``: on single-input
-    consumers the transformed tensor is the consumer's input (bit-identical
-    to the legacy accounting); on multi-input consumers (concat) it is the
-    individual producer's output, not the joined tensor.
-    """
-    desc = _edge_desc(producer, consumer, src, dst)
-    if desc is None:
-        return 0.0
-    dims, src, dst = desc
-    return transform_time_ms(device, TensorDesc(*dims, layout=src), dst, method="auto")
-
-
 def _price_transform_chunk(
     context: SimulationContext, models: list
 ) -> "list":
@@ -301,16 +281,16 @@ def _price_transform_chunk(
 
 
 class TransformCostTable:
-    """Batched per-edge transform costs for one planning run.
+    """Per-edge transform costs for one planning run.
 
     ``precompute`` enumerates every distinct (dims, src layout, dst layout)
     transform the planner can query on a graph — edges × layouts² collapse
     to a handful of unique tensor shapes — and prices them all in one
-    vectorized evaluation.  ``edge_ms`` is then a dict probe.  A query
-    outside the precomputed set (e.g. a pass relabeling to an exotic
-    layout) falls back to the scalar :func:`transform_time_ms` and is
-    memoized, so the table answers exactly what the scalar path would:
-    plans are byte-identical with batching on or off.
+    memoized evaluation (vectorized unless batching is disabled).
+    ``edge_ms`` is then a dict probe.  A query outside the precomputed set
+    (e.g. a pass relabeling to an exotic layout) falls back to
+    :func:`transform_time_ms` and is memoized; both routes price the same
+    kernel, so plans are byte-identical with batching on or off.
     """
 
     def __init__(self, device: DeviceSpec) -> None:
@@ -344,10 +324,10 @@ class TransformCostTable:
                             TensorDesc(*dims, layout=src_l), dst_l, method="auto"
                         )
         if pending:
-            # The scalar path prices transforms on the device's default
-            # context; the memoized batch does the same so cache/metrics
-            # accounting lands in the same place — and repeat plannings of
-            # the same shapes skip the analytic stack entirely.
+            # ``transform_time_ms`` prices transforms on the device's
+            # default context; the precompute does the same so
+            # cache/metrics accounting lands in the same place — and repeat
+            # plannings of the same shapes skip the analytic stack entirely.
             outcomes = map_chunks(
                 _price_transform_chunk,
                 list(pending.values()),
@@ -367,7 +347,14 @@ class TransformCostTable:
         src: DataLayout,
         dst: DataLayout,
     ) -> float:
-        """Memoized :func:`edge_transform_ms`."""
+        """Transform cost on one producer→consumer edge.
+
+        Generalizes the legacy per-node ``_transform_ms``: on single-input
+        consumers the transformed tensor is the consumer's input
+        (bit-identical to the legacy accounting); on multi-input consumers
+        (concat) it is the individual producer's output, not the joined
+        tensor.
+        """
         desc = _edge_desc(producer, consumer, src, dst)
         if desc is None:
             return 0.0
@@ -380,19 +367,6 @@ class TransformCostTable:
             )
             self._ms[key] = ms
         return ms
-
-
-def _ctx_edge_ms(
-    ctx: PassContext,
-    producer: GraphNode | None,
-    consumer: GraphNode,
-    src: DataLayout,
-    dst: DataLayout,
-) -> float:
-    """Edge cost through the context's batched table when present."""
-    if ctx.edge_costs is not None:
-        return ctx.edge_costs.edge_ms(producer, consumer, src, dst)
-    return edge_transform_ms(ctx.device, producer, consumer, src, dst)
 
 
 def _graph_node_costs(
@@ -424,17 +398,14 @@ def _consumers_map(graph: Graph) -> dict[str, list[GraphNode]]:
 
 
 def _insert_transforms(
-    graph: Graph,
-    device: DeviceSpec,
-    costs: "TransformCostTable | None" = None,
+    graph: Graph, costs: TransformCostTable
 ) -> tuple[int, float]:
     """(Re)materialize edge transforms from the current layout assignment.
 
     Mirrors the legacy ``_assemble`` walk: the layout "carried" past a
     CLASSIFIER node is its producer's (flattening erases the 4-D layout,
     so classifiers never update it), and a transform is only recorded when
-    its modeled cost is positive.  ``costs`` routes edge pricing through
-    the batched :class:`TransformCostTable` when one is available.
+    its modeled cost is positive, as priced by ``costs``.
     """
     count, total = 0, 0.0
     carried: dict[str, DataLayout | None] = {}
@@ -448,12 +419,7 @@ def _insert_transforms(
             src_layout = carried[src]
             if src_layout is None or node.layout is None:
                 continue
-            if costs is not None:
-                t_ms = costs.edge_ms(graph[src], node, src_layout, node.layout)
-            else:
-                t_ms = edge_transform_ms(
-                    device, graph[src], node, src_layout, node.layout
-                )
+            t_ms = costs.edge_ms(graph[src], node, src_layout, node.layout)
             if t_ms > 0:
                 transforms.append(
                     EdgeTransform(src, src_layout, node.layout, t_ms)
@@ -530,11 +496,9 @@ class AssignLayouts(Pass):
             )
             for node in graph
         }
-        if batched_eval_enabled():
-            ctx.edge_costs = TransformCostTable(ctx.device)
-            self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
-                graph, opts.layouts, jobs=opts.jobs
-            )
+        self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
+            graph, opts.layouts, jobs=opts.jobs
+        )
         if opts.strategy == "single":
             if opts.single_layout is None:
                 raise ValueError("strategy 'single' needs single_layout")
@@ -627,7 +591,7 @@ class AssignLayouts(Pass):
         def edge(i: int, a: DataLayout, b: DataLayout) -> float:
             node = order[i]
             producer = graph[node.inputs[0]] if node.inputs else None
-            return _ctx_edge_ms(ctx, producer, node, a, b)
+            return ctx.edge_costs.edge_ms(producer, node, a, b)
 
         if opts.strategy == "heuristic":
             thresholds = opts.thresholds or thresholds_for(ctx.device)
@@ -651,7 +615,7 @@ class AssignLayouts(Pass):
         consumers = _consumers_map(graph)
 
         def edge(p: GraphNode, n: GraphNode, a: DataLayout, b: DataLayout) -> float:
-            return _ctx_edge_ms(ctx, p, n, a, b)
+            return ctx.edge_costs.edge_ms(p, n, a, b)
 
         def total(assign: dict[str, DataLayout]) -> float:
             t = sum(ctx.costs[n.name].cost(assign[n.name]) for n in graph)
@@ -775,7 +739,7 @@ class InsertTransforms(Pass):
     )
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
-        count, total = _insert_transforms(graph, ctx.device, ctx.edge_costs)
+        count, total = _insert_transforms(graph, ctx.edge_costs)
         self.stats["inserted"] = count
         self.stats["transform_ms"] = round(total, 6)
         return graph
@@ -823,11 +787,13 @@ class EliminateRedundantTransforms(Pass):
                         src_layout = graph[src].layout
                         if src_layout is None:
                             continue
-                        t += _ctx_edge_ms(ctx, graph[src], node, src_layout, layout)
+                        t += ctx.edge_costs.edge_ms(
+                            graph[src], node, src_layout, layout
+                        )
                     for cons in consumers[node.name]:
                         if cons.layout is None:
                             continue
-                        t += _ctx_edge_ms(ctx, node, cons, layout, cons.layout)
+                        t += ctx.edge_costs.edge_ms(node, cons, layout, cons.layout)
                     return t
 
                 current_cost = incident(node.layout)
@@ -843,7 +809,7 @@ class EliminateRedundantTransforms(Pass):
         added = 0
         if relabeled:
             old = {n.name: set(n.transforms) for n in graph}
-            _insert_transforms(graph, ctx.device, ctx.edge_costs)
+            _insert_transforms(graph, ctx.edge_costs)
             for n in graph:
                 removed += len(old[n.name] - set(n.transforms))
                 added += len(set(n.transforms) - old[n.name])

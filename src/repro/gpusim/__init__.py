@@ -11,7 +11,6 @@ as :class:`KernelModel` objects and asks :class:`SimulationEngine` for time.
 from .batch import (
     CandidateBatch,
     EvalSpec,
-    batched_eval_enabled,
     evaluate_batch,
     evaluate_models,
     evaluate_specs,
@@ -54,6 +53,7 @@ from .exec import (
     evaluate_cells,
     map_chunks,
     pool_workers,
+    resolve_jobs,
     shutdown_pool,
 )
 from .session import (
@@ -65,7 +65,6 @@ from .session import (
     structural_key,
 )
 from .kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
-from .parallel import chunk_items, parallel_map, resolve_jobs
 from .occupancy import (
     LaunchValidationError,
     LaunchViolation,
@@ -137,10 +136,8 @@ __all__ = [
     "analyze_trace",
     "adaptive_chunk_size",
     "analyze_warps",
-    "batched_eval_enabled",
     "cache_sim_snapshot",
     "check_launch",
-    "chunk_items",
     "comparison_table",
     "compute_occupancy",
     "conflict_degree",
@@ -158,7 +155,6 @@ __all__ = [
     "map_chunks",
     "memory_service_time",
     "min_round_sets",
-    "parallel_map",
     "pool_workers",
     "reference_analyze_row_locality",
     "register_device",

@@ -9,8 +9,7 @@ producers and the evaluator.  This module is that missing layer.  It sits
 between the grid producers (:mod:`repro.analysis.sweeps`,
 :mod:`repro.core.calibration`, :mod:`repro.core.autotune`, the figure
 drivers) and the evaluators (:mod:`repro.gpusim.batch`,
-:mod:`repro.gpusim.session`, :mod:`repro.gpusim.parallel`), in three
-layers:
+:mod:`repro.gpusim.session`), in three layers:
 
 * **cross-grid memoization** — :func:`evaluate_cells` consults the
   session's structural timing cache (the same
@@ -25,14 +24,19 @@ layers:
   *one* :class:`~repro.gpusim.batch.CandidateBatch` for the whole grid
   (``evaluate_models`` keeps its composed-kernel expansion and in-slot
   error semantics), instead of paying batch setup per producer-side chunk.
-* **a persistent warm worker pool** — :func:`map_chunks` replaces
-  fork-per-call ``parallel_map`` fan-out with a process pool that is
-  created once, keeps a warm per-worker
+* **a persistent warm worker pool** — :func:`map_chunks` fans chunks
+  over a process pool that is created once, keeps a warm per-worker
   :class:`~repro.gpusim.session.SimulationContext` per (device, OOM mode)
   across submissions, ships only cache *deltas* home
   (:meth:`SimulationContext.export_delta` → :meth:`absorb`), and sizes
   chunks adaptively from the measured per-cell cost instead of a fixed
   split.
+
+:func:`map_chunks` is the one executor for every grid consumer.  With
+batching disabled (:func:`~repro.gpusim.batch.set_batched_eval`) its chunk
+functions still run — :func:`evaluate_cells` then delegates to the scalar
+``context.run`` loop — and warm workers re-apply the parent's toggles per
+submission, so the scalar golden path needs no executor of its own.
 
 Everything stays byte-identical to the scalar golden path: cached values
 are bit-identical to freshly-computed ones by the PR 4/9 equivalence
@@ -43,7 +47,7 @@ pure wall-clock knob.
 Instrumentation (``repro.obs``): ``exec.cache.{hit,miss,dedup,error_hit}``
 counters, the ``exec.batch.size`` histogram, ``exec.pool.{reuse,chunks}``
 counters, one ``exec`` span per grid, and ``exec.jobs.clamped`` from
-:func:`~repro.gpusim.parallel.resolve_jobs`.
+:func:`resolve_jobs`.
 
 Metric *counts* can differ between a memoized and a cold run (that is the
 point); every value derived from kernel stats is identical.
@@ -74,7 +78,6 @@ from .batch import batched_eval_enabled, evaluate_models, set_batched_eval
 from .device import DeviceSpec
 from .engine import GpuOutOfMemoryError
 from .kernel import ComposedKernel, KernelModel
-from .parallel import DEFAULT_MIN_CHUNK, resolve_jobs
 from .session import SimStats, SimulationContext, _kind_of, structural_key
 from .timing import KernelStats
 
@@ -83,6 +86,7 @@ __all__ = [
     "evaluate_cells",
     "map_chunks",
     "pool_workers",
+    "resolve_jobs",
     "shutdown_pool",
 ]
 
@@ -257,8 +261,41 @@ def evaluate_cells(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive chunk sizing
+# Worker count and adaptive chunk sizing
 # ---------------------------------------------------------------------------
+
+
+def resolve_jobs(jobs: int | str | None) -> int:
+    """Normalize a ``--jobs`` value: None/0/1 mean serial, ``"auto"`` and
+    negative values mean one worker per available CPU.
+
+    Requests beyond ``os.cpu_count()`` clamp to the CPU count — the
+    simulation is pure CPU work, so oversubscribing only adds process
+    spawn and scheduling overhead (the shipped ``BENCH_planner.json`` once
+    ran ``--jobs 4`` on a 1-CPU box and *lost* 35% end to end).  A clamp
+    bumps the ``exec.jobs.clamped`` counter so ``--metrics`` surfaces it.
+    """
+    cpus = os.cpu_count() or 1
+    if jobs is None:
+        return 1
+    if isinstance(jobs, str):
+        if jobs.strip().lower() == "auto":
+            return cpus
+        jobs = int(jobs)
+    if jobs == 0:
+        return 1
+    if jobs < 0:
+        return cpus
+    if jobs > cpus:
+        global_registry().counter("exec.jobs.clamped").inc()
+        return cpus
+    return jobs
+
+
+#: Smallest default chunk: shipping a worker fewer cells than this costs
+#: more in the pickle round-trip than evaluating them in an existing chunk
+#: (singleton chunks on small grids were pure IPC overhead).
+DEFAULT_MIN_CHUNK = 4
 
 #: Aim each shipped chunk at roughly this much worker wall time: large
 #: enough to amortize the pickle round-trip, small enough that expensive
@@ -296,7 +333,7 @@ def adaptive_chunk_size(
     measured per-cell cost when one is available: cells expensive enough
     that :data:`TARGET_CHUNK_S` holds fewer of them get *smaller* chunks
     (more of them than workers), so a straggler chunk cannot serialize the
-    grid.  Never below :data:`~repro.gpusim.parallel.DEFAULT_MIN_CHUNK`
+    grid.  Never below :data:`DEFAULT_MIN_CHUNK`
     (or the grid size, if smaller) — singleton chunks are pure IPC.
     """
     if n <= 0:

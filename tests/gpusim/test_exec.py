@@ -1,15 +1,17 @@
 """Sweep execution engine: memoization, dedup, fused batches, warm pool.
 
-The contract of :mod:`repro.gpusim.exec` extends the parallel executor's:
-memoization, dedup, chunking, and worker warmth are all *pure wall-clock
-knobs* — every grid consumer's output is byte-identical to the scalar
-golden path no matter how many times a cell has been priced before, which
-process priced it, or how the grid was chunked.
+The contract of :mod:`repro.gpusim.exec`: memoization, dedup, chunking,
+and worker warmth are all *pure wall-clock knobs* — every grid consumer's
+output is byte-identical to the scalar golden path no matter how many
+times a cell has been priced before, which process priced it, or how the
+grid was chunked.  A dead worker breaks the pool loudly, and the next
+grid respawns it.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -27,12 +29,12 @@ from repro.gpusim import (
 )
 from repro.gpusim.engine import GpuOutOfMemoryError
 from repro.gpusim.exec import (
+    DEFAULT_MIN_CHUNK,
     TARGET_CHUNK_S,
     adaptive_chunk_size,
     evaluate_cells,
     pool_workers,
 )
-from repro.gpusim.parallel import DEFAULT_MIN_CHUNK
 from repro.layers import make_pool_kernel
 from repro.layers.base import ConvSpec
 from repro.layers.conv_kernels import make_conv_kernel
@@ -307,6 +309,60 @@ class TestMapChunksPool:
         out_serial = map_chunks(_eval_chunk, models, ctx, jobs=1)
         assert out_serial == out_pool
         assert global_registry().value("exec.cache.hit") == hits0 + len(models)
+
+
+def _die_in_worker(context, cells):
+    """Chunk body that kills any worker process it lands in: each cell
+    carries the parent's pid, so the serial path stays alive."""
+    if os.getpid() != cells[0][0]:
+        os._exit(1)
+    return [value for _, value in cells]
+
+
+class TestMapChunksFaults:
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        shutdown_pool()
+        yield
+        shutdown_pool()
+
+    def test_dead_worker_breaks_the_pool_and_the_next_grid_respawns_it(
+        self, device, small_pool
+    ):
+        cells = [(os.getpid(), i) for i in range(8)]
+        with pytest.raises(BrokenProcessPool):
+            map_chunks(_die_in_worker, cells, _fresh(device), jobs=2, chunk_size=4)
+        # The broken executor is torn down, not left for the next caller.
+        assert pool_workers() == 0
+
+        models = _pool_models(small_pool, (4, 8, 16, 32))
+        serial = map_chunks(_eval_chunk, models, _fresh(device), jobs=1)
+        out = map_chunks(_eval_chunk, models, _fresh(device), jobs=2, chunk_size=4)
+        assert out == serial
+        assert pool_workers() == 2
+
+    def test_warm_workers_pick_up_a_toggle_flip(self, device, small_pool):
+        from repro.gpusim import set_batched_eval
+
+        # Born and warmed with batching on.
+        warmup = _pool_models(small_pool, (4, 8))
+        map_chunks(_eval_chunk, warmup, _fresh(device), jobs=2, chunk_size=2)
+        assert pool_workers() == 2
+
+        models = _pool_models(small_pool, (16, 32, 48, 64))
+        prev = set_batched_eval(False)
+        try:
+            serial = map_chunks(_eval_chunk, models, _fresh(device), jobs=1)
+            batches0 = global_registry().value("batch.eval.batches") or 0
+            out = map_chunks(_eval_chunk, models, _fresh(device), jobs=2, chunk_size=4)
+            batches = global_registry().value("batch.eval.batches") or 0
+        finally:
+            set_batched_eval(prev)
+        assert out == serial
+        # Workers merged their metrics home; a worker still batching would
+        # have counted its batch evaluations there.
+        assert batches == batches0
 
 
 # ---------------------------------------------------------------------------

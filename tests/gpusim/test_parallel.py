@@ -1,9 +1,10 @@
-"""Parallel sweep executor: determinism, chunking, and cache merge-back.
+"""Parallel grid execution: ``--jobs`` resolution and determinism.
 
-The contract of :mod:`repro.gpusim.parallel` is that ``--jobs N`` is purely
-a wall-clock knob: for any deterministic task function, the result list —
-and everything derived from it (sweep grids, calibration thresholds, tuned
-factors, CLI output) — is byte-identical to a serial run.
+The contract of :func:`repro.gpusim.exec.map_chunks` is that ``--jobs N``
+is purely a wall-clock knob: everything derived from a grid (sweep grids,
+calibration thresholds, tuned factors, CLI output) is byte-identical to a
+serial run.  Chunking, order and cache merge-back of the pool itself are
+covered in ``test_exec.py``.
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ from repro.analysis.sweeps import sweep_conv, sweep_pool
 from repro.cli import main
 from repro.core.autotune import autotune_pooling, autotune_pooling_many
 from repro.core.calibration import calibrate
-from repro.gpusim import (
-    SimStats,
-    SimulationContext,
-    chunk_items,
-    parallel_map,
-    resolve_jobs,
-    shutdown_pool,
-)
-from repro.gpusim.parallel import DEFAULT_MIN_CHUNK
-from repro.layers import make_pool_kernel
+from repro.gpusim import SimStats, SimulationContext, resolve_jobs, shutdown_pool
 from repro.obs.metrics import global_registry
 
 
@@ -58,78 +50,6 @@ class TestResolveJobs:
         before = global_registry().value("exec.jobs.clamped") or 0
         assert resolve_jobs(8) == 8
         assert (global_registry().value("exec.jobs.clamped") or 0) == before
-
-
-class TestChunkItems:
-    def test_empty(self):
-        assert chunk_items([], 4) == []
-
-    def test_default_at_most_jobs_chunks(self):
-        chunks = chunk_items(list(range(10)), 3)
-        assert len(chunks) <= 3
-        assert [x for c in chunks for x in c] == list(range(10))
-
-    def test_explicit_chunk_size(self):
-        assert chunk_items([1, 2, 3, 4, 5], 2, chunk_size=2) == [[1, 2], [3, 4], [5]]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            chunk_items([1], 1, chunk_size=0)
-
-    def test_small_grid_never_splits_into_singletons(self):
-        # 6 items over 6 workers used to produce six singleton chunks —
-        # pure IPC overhead; the floor keeps chunks at DEFAULT_MIN_CHUNK.
-        chunks = chunk_items(list(range(6)), 6)
-        assert all(
-            len(c) >= min(DEFAULT_MIN_CHUNK, 6) or c is chunks[-1] for c in chunks
-        )
-        assert [x for c in chunks for x in c] == list(range(6))
-        assert len(chunks) == 2
-
-    def test_grid_smaller_than_floor_is_one_chunk(self):
-        assert chunk_items([1, 2], 8) == [[1, 2]]
-
-
-def _double(context, item):
-    return item * 2
-
-
-def _time_pool_chwn(context, spec):
-    return context.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
-
-
-class TestParallelMap:
-    @pytest.fixture(autouse=True)
-    def _four_cpus(self, monkeypatch):
-        # These tests exercise real worker fan-out; a 1-CPU CI box would
-        # clamp everything to serial, so pretend the box is wider.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-
-    def test_order_preserved_across_chunks(self, device):
-        ctx = SimulationContext(device, check_memory=False)
-        out = parallel_map(_double, list(range(11)), ctx, jobs=3, chunk_size=2)
-        assert out == [2 * i for i in range(11)]
-
-    def test_serial_path_uses_caller_context(self, device, small_pool):
-        ctx = SimulationContext(device, check_memory=False)
-        parallel_map(_time_pool_chwn, [small_pool], ctx, jobs=1)
-        assert ctx.cache_size == 1
-        assert ctx.stats.merged_contexts == 0  # no workers involved
-
-    def test_worker_caches_merge_back(self, device, small_pool):
-        specs = [replace(small_pool, c=c) for c in (4, 8, 16, 32)]
-        ctx = SimulationContext(device, check_memory=False)
-        times = parallel_map(_time_pool_chwn, specs, ctx, jobs=2, chunk_size=2)
-        assert len(times) == 4
-        # Two chunks -> two worker contexts absorbed, four new entries.
-        assert ctx.stats.merged_contexts == 2
-        assert ctx.stats.merged_entries == 4
-        assert ctx.cache_size == 4
-        # The parent can now serve the same kernels without re-simulating.
-        hits_before = ctx.stats.hits
-        again = parallel_map(_time_pool_chwn, specs, ctx, jobs=1)
-        assert again == times
-        assert ctx.stats.hits == hits_before + 4
 
 
 class TestJobsDeterminism:

@@ -170,9 +170,9 @@ class TestAbsorb:
     def test_absorb_extends_streams(self):
         parent = Tracer("parent")
         worker = Tracer("worker")
-        with worker.span("chunk", "parallel"):
+        with worker.span("chunk", "exec.pool"):
             pass
-        worker.event("mark", "parallel")
+        worker.event("mark", "exec.pool")
         n = parent.absorb(worker.spans(), worker.events())
         assert n == 1
         assert [s.name for s in parent.spans()] == ["chunk"]
@@ -182,7 +182,7 @@ class TestAbsorb:
         parent = Tracer()
         foreign = Span(
             name="remote",
-            category="parallel",
+            category="exec.pool",
             start_us=1.0,
             duration_us=2.0,
             pid=99999,

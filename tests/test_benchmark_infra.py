@@ -136,15 +136,19 @@ class TestJobsArgument:
 
         seen = {}
 
+        spread = bench.round_spread([1.0, 1.0])
+
         def fake_end_to_end(device, jobs):
             seen["jobs"] = jobs
             return {"figures": ["f"], "jobs": jobs, "scalar_s": 1.0,
                     "batched_serial_s": 1.0, "serial_speedup": 1.0,
+                    "serial_speedup_spread": spread,
                     "batched_s": 1.0, "warm_s": 1.0, "warm_speedup": 1.0}
 
         monkeypatch.setattr(bench, "run_micro", lambda device: {
             "candidates": 1, "scalar_cand_per_s": 1.0,
-            "batched_cand_per_s": 1.0, "speedup": 1.0})
+            "batched_cand_per_s": 1.0, "speedup": 1.0,
+            "speedup_spread": spread})
         monkeypatch.setattr(bench, "run_end_to_end", fake_end_to_end)
         out = tmp_path / "planner.json"
         assert bench.main(["--jobs", "auto", "--output", str(out)]) == 0
