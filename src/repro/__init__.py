@@ -56,11 +56,9 @@ from .gpusim import (
     DeviceSpec,
     SimStats,
     SimulationContext,
-    SimulationEngine,
     default_context,
     get_device,
     global_sim_stats,
-    simulate,
 )
 from .layers import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from .networks import CONV_LAYERS, POOL_LAYERS, build_network
@@ -85,7 +83,6 @@ __all__ = [
     "SCHEMES",
     "SimStats",
     "SimulationContext",
-    "SimulationEngine",
     "SoftmaxSpec",
     "TITAN_BLACK",
     "TITAN_X",
@@ -108,7 +105,6 @@ __all__ = [
     "plan_with_heuristic",
     "preferred_conv_layout",
     "preferred_pool_layout",
-    "simulate",
     "thresholds_for",
     "time_network",
     "train",

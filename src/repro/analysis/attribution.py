@@ -70,7 +70,6 @@ def _layout_only_ms(
     coarsened kernel to the plain kernel of the planned layout, and the
     softmax reverts to the best library baseline.
     """
-    engine = context.engine(check_memory=False)
     if net.is_chain:
         plan = plan_optimal(
             device, net.planner_nodes(device, context=context), context=context
@@ -89,10 +88,13 @@ def _layout_only_ms(
         layer = by_name[step.name]
         if step.kind is NodeKind.POOL and step.layout is not None:
             impl = "chwn" if str(step.layout) == "CHWN" else "nchw-linear"
-            total += engine.run(make_pool_kernel(layer.spec, impl)).time_ms
+            kernel = make_pool_kernel(layer.spec, impl)
+            total += context.run(kernel, check_memory=False).time_ms
         elif isinstance(layer.spec, SoftmaxSpec):
             total += min(
-                engine.run(make_softmax_kernel(layer.spec, impl)).time_ms
+                context.run(
+                    make_softmax_kernel(layer.spec, impl), check_memory=False
+                ).time_ms
                 for impl in ("5kernel", "cudnn")
             )
         else:

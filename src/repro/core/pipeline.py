@@ -6,9 +6,10 @@ ordered passes over a :class:`repro.ir.Graph`:
 
 1. ``ResolveShapes``        — shape inference + fixed per-layer costs;
 2. ``AssignLayouts``        — the (Ct, Nt) heuristic and the optimal
-   search.  On chains these are *exact ports* of the legacy planner (the
-   run-flattening fine-tune and the (layer, layout) DP, tie-breaks
-   included), so the pipeline is plan-identical to it; on DAGs the same
+   search.  On chains these are *exact ports* of the original chain
+   planner (the run-flattening fine-tune and the (layer, layout) DP,
+   tie-breaks included), kept as the golden reference in
+   ``tests/core/legacy_planner.py``; on DAGs the same
    trade-off generalizes to per-edge transform costs, solved by
    preference seeding plus coordinate-descent local search started from
    every uniform-layout assignment (so the result is never worse than any
@@ -27,8 +28,9 @@ ordered passes over a :class:`repro.ir.Graph`:
 counts; ``repro plan --explain`` prints the table.  The final lowering
 :func:`graph_to_plan` produces the legacy :class:`LayoutPlan`, which keeps
 every existing consumer (framework, schemes, sweeps, lint, CLI, benches)
-working unchanged.  ``plan_with_heuristic``/``plan_optimal`` in
-``repro.core.planner`` are now thin wrappers over :func:`run_pipeline`.
+working unchanged.  ``plan_single_layout``/``plan_with_heuristic``/
+``plan_optimal`` in ``repro.core.planner`` are thin wrappers over
+:func:`run_pipeline`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from math import prod
 from typing import Callable, Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import SimulationEngine
 from ..gpusim.exec import evaluate_cells, map_chunks
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.metrics import global_registry
@@ -47,25 +48,23 @@ from ..obs.tracer import active_tracer
 from ..obs.tracer import span as obs_span
 from ..ir.build import graph_from_plan_nodes, infer_shapes, lower_netdef
 from ..ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
-from ..layers.base import FCSpec, SoftmaxSpec
+from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from ..layers.elementwise import ElementwiseKernel, LRNSpec, make_lrn_kernel
 from ..layers.fc import make_fc_kernel
+from ..layers.pooling_kernels import make_pool_kernel
+from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
 from ..tensors.tensor import TensorDesc
 from ..tensors.transform_kernels import make_transform_kernel, transform_time_ms
+from .autotune import autotune_pooling
 from .heuristic import (
     LayoutThresholds,
     preferred_conv_layout,
     preferred_pool_layout,
     thresholds_for,
 )
-from .planner import (
-    PLAN_LAYOUTS,
-    LayoutPlan,
-    PlanStep,
-    _LayerCosts,
-    _node_costs,
-)
+from .planner import PLAN_LAYOUTS, LayoutPlan, PlanNode, PlanStep
+from .selector import best_conv_for_layout
 
 __all__ = [
     "FusionPattern",
@@ -113,11 +112,13 @@ class PipelineOptions:
 
 @dataclass
 class PassContext:
-    """Mutable state the passes share (engine, per-node cost tables)."""
+    """Mutable state the passes share (simulation session, per-node cost
+    tables).  Passes time kernels with ``check_memory=False``: planning
+    prices every candidate, and OOM is a property of the whole network."""
 
     device: DeviceSpec
     options: PipelineOptions
-    engine: SimulationEngine
+    context: SimulationContext
     costs: dict[str, _LayerCosts] = field(default_factory=dict)
     #: per-edge transform costs (precomputed by ``AssignLayouts``)
     edge_costs: "TransformCostTable" = field(init=False)
@@ -369,24 +370,86 @@ class TransformCostTable:
         return ms
 
 
-def _graph_node_costs(
-    engine: SimulationEngine,
-    node: GraphNode,
+@dataclass
+class _LayerCosts:
+    """Per-layout cost and chosen implementation for one node."""
+
+    per_layout: dict[str, tuple[float, str, tuple[int, int] | None]] = field(
+        default_factory=dict
+    )
+
+    def cost(self, layout: DataLayout) -> float:
+        return self.per_layout[str(layout)][0]
+
+    def choice(self, layout: DataLayout) -> tuple[float, str, tuple[int, int] | None]:
+        return self.per_layout[str(layout)]
+
+
+def _node_costs(
+    context: SimulationContext,
+    node: GraphNode | PlanNode,
     device: DeviceSpec,
     tune_pooling: bool,
     allow_fft: bool,
-    layouts: tuple[DataLayout, ...],
+    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
 ) -> _LayerCosts:
-    """Per-layout costs for one graph node (concat handled here; everything
-    else shares the planner's cost model verbatim)."""
-    if node.kind is NodeKind.CONCAT:
-        costs = _LayerCosts(node)  # type: ignore[arg-type]
+    """Per-layout costs for one node: the fastest implementation of each
+    layout, timed with ``check_memory=False``."""
+    costs = _LayerCosts()
+    if node.kind is NodeKind.CONV:
+        assert isinstance(node.spec, ConvSpec)
         for layout in layouts:
-            costs.per_layout[str(layout)] = (node.fixed_ms, "concat", None)
-        return costs
-    return _node_costs(  # type: ignore[arg-type]
-        engine, node, device, tune_pooling, allow_fft, layouts
-    )
+            choice = best_conv_for_layout(
+                context, node.spec, layout, allow_fft=allow_fft, check_memory=False
+            )
+            costs.per_layout[str(layout)] = (
+                choice.time_ms, choice.implementation, None
+            )
+    elif node.kind is NodeKind.POOL:
+        assert isinstance(node.spec, PoolSpec)
+        if tune_pooling:
+            tuned = autotune_pooling(device, node.spec, context=context)
+            coarsen = (tuned.ux, tuned.uy)
+            chwn_ms = tuned.time_ms
+            impl = (
+                "chwn-coarsened" if coarsen != (1, 1) else "chwn"
+            )
+        else:
+            chwn_ms = context.run(
+                make_pool_kernel(node.spec, "chwn"), check_memory=False
+            ).time_ms
+            coarsen, impl = None, "chwn"
+        costs.per_layout[str(CHWN)] = (chwn_ms, impl, coarsen)
+        # When a pool stays out of CHWN (transform not worth it), the
+        # framework still picks the faster of the available channel-major
+        # kernels; every non-CHWN layout shares that pattern in the model.
+        nchw_ms, nchw_impl = min(
+            (
+                context.run(
+                    make_pool_kernel(node.spec, impl_name), check_memory=False
+                ).time_ms,
+                impl_name,
+            )
+            for impl_name in ("nchw-linear", "nchw-rowblock")
+        )
+        for layout in layouts:
+            if layout != CHWN:
+                costs.per_layout[str(layout)] = (nchw_ms, nchw_impl, None)
+    elif node.kind in (NodeKind.ELEMENTWISE, NodeKind.CONCAT):
+        impl = "concat" if node.kind is NodeKind.CONCAT else "elementwise"
+        for layout in layouts:
+            costs.per_layout[str(layout)] = (node.fixed_ms, impl, None)
+    else:  # CLASSIFIER
+        if isinstance(node.spec, SoftmaxSpec):
+            ms = context.run(
+                make_softmax_kernel(node.spec, "opt"), check_memory=False
+            ).time_ms
+            impl = "softmax-opt"
+        else:
+            ms, impl = node.fixed_ms, "gemm"
+        for layout in layouts:
+            costs.per_layout[str(layout)] = (ms, impl, None)
+    return costs
 
 
 def _consumers_map(graph: Graph) -> dict[str, list[GraphNode]]:
@@ -463,7 +526,7 @@ class ResolveShapes(Pass):
                 kernel = ElementwiseKernel(prod(node.out_dims), name="concat")
             else:
                 continue
-            node.fixed_ms = ctx.engine.run(kernel).time_ms
+            node.fixed_ms = ctx.context.run(kernel, check_memory=False).time_ms
             timed += 1
         self.stats["fixed_cost_nodes"] = timed
         return graph
@@ -490,8 +553,8 @@ class AssignLayouts(Pass):
         if not opts.layouts:
             raise ValueError("need at least one candidate layout")
         ctx.costs = {
-            node.name: _graph_node_costs(
-                ctx.engine, node, ctx.device,
+            node.name: _node_costs(
+                ctx.context, node, ctx.device,
                 opts.tune_pooling, opts.allow_fft, opts.layouts,
             )
             for node in graph
@@ -1011,8 +1074,9 @@ def run_pipeline(
     if len(graph) == 0:
         plan = LayoutPlan(steps=(), device=device.name, strategy=options.strategy_name())
         return PipelineResult(graph=graph, plan=plan, trace=())
-    engine = (context or default_context(device)).engine(check_memory=False)
-    ctx = PassContext(device=device, options=options, engine=engine)
+    ctx = PassContext(
+        device=device, options=options, context=context or default_context(device)
+    )
     manager = PassManager(
         passes if passes is not None else default_passes(),
         verify=options.verify,

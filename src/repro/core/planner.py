@@ -6,8 +6,10 @@ transform's cost against the layout's benefit — the paper's "one-time
 profiling can be applied to fine tune the data layout settings
 automatically".
 
-Two planners are provided:
+Three planners are provided:
 
+* :func:`plan_single_layout` — the whole network in one fixed layout (the
+  existing libraries' behaviour);
 * :func:`plan_with_heuristic` — apply the (Ct, Nt) rules per layer, then
   drop any transform whose cost exceeds the layout benefit it enables
   (the paper's fine-tuning step, e.g. keeping CV5/CV9 in the surrounding
@@ -16,35 +18,22 @@ Two planners are provided:
   exhaustive version of the same trade-off.  Used in tests to prove the
   heuristic plan is near-optimal and in the ``Opt`` whole-network scheme.
 
-Both public planners are now thin compatibility wrappers over the pass
-pipeline (``repro.core.pipeline``), which generalizes the same algorithms
-from chains to DAGs; prefer :func:`repro.core.pipeline.run_pipeline` in
-new code.  The original chain implementations are retained as
-``_legacy_plan_with_heuristic``/``_legacy_plan_optimal`` so the golden
-equivalence tests can prove the pipeline reproduces them exactly.
+All three are thin wrappers over the pass pipeline
+(``repro.core.pipeline``), which generalizes the same algorithms from
+chains to DAGs; prefer :func:`repro.core.pipeline.run_pipeline` in new
+code.  This module owns the chain input (:class:`PlanNode`) and the plan
+IR (:class:`LayoutPlan`/:class:`PlanStep`) the pipeline lowers to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import SimulationEngine
-from ..gpusim.session import SimulationContext, default_context
+from ..gpusim.session import SimulationContext
 from ..ir.graph import NodeKind
-from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
-from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
-from ..tensors.tensor import TensorDesc
-from ..tensors.transform_kernels import transform_time_ms
-from .autotune import autotune_pooling
-from .heuristic import (
-    LayoutThresholds,
-    preferred_conv_layout,
-    preferred_pool_layout,
-    thresholds_for,
-)
-from .selector import best_conv_for_layout
+from .heuristic import LayoutThresholds
 
 PLAN_LAYOUTS: tuple[DataLayout, ...] = (CHWN, NCHW)
 
@@ -126,133 +115,20 @@ class LayoutPlan:
         return "\n".join(lines)
 
 
-@dataclass
-class _LayerCosts:
-    """Per-layout cost and chosen implementation for one node."""
-
-    node: PlanNode
-    per_layout: dict[str, tuple[float, str, tuple[int, int] | None]] = field(
-        default_factory=dict
-    )
-
-    def cost(self, layout: DataLayout) -> float:
-        return self.per_layout[str(layout)][0]
-
-    def choice(self, layout: DataLayout) -> tuple[float, str, tuple[int, int] | None]:
-        return self.per_layout[str(layout)]
-
-
-def _node_costs(
-    engine: SimulationEngine,
-    node: PlanNode,
-    device: DeviceSpec,
-    tune_pooling: bool,
-    allow_fft: bool,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
-) -> _LayerCosts:
-    costs = _LayerCosts(node)
-    if node.kind is NodeKind.CONV:
-        assert isinstance(node.spec, ConvSpec)
-        for layout in layouts:
-            choice = best_conv_for_layout(engine, node.spec, layout, allow_fft=allow_fft)
-            costs.per_layout[str(layout)] = (choice.time_ms, choice.implementation, None)
-    elif node.kind is NodeKind.POOL:
-        assert isinstance(node.spec, PoolSpec)
-        from ..layers.pooling_kernels import make_pool_kernel
-
-        if tune_pooling:
-            tuned = autotune_pooling(device, node.spec, context=engine.context)
-            coarsen = (tuned.ux, tuned.uy)
-            chwn_ms = tuned.time_ms
-            impl = (
-                "chwn-coarsened" if coarsen != (1, 1) else "chwn"
-            )
-        else:
-            chwn_ms = engine.run(make_pool_kernel(node.spec, "chwn")).time_ms
-            coarsen, impl = None, "chwn"
-        costs.per_layout[str(CHWN)] = (chwn_ms, impl, coarsen)
-        # When a pool stays out of CHWN (transform not worth it), the
-        # framework still picks the faster of the available channel-major
-        # kernels; every non-CHWN layout shares that pattern in the model.
-        nchw_ms, nchw_impl = min(
-            (engine.run(make_pool_kernel(node.spec, impl_name)).time_ms, impl_name)
-            for impl_name in ("nchw-linear", "nchw-rowblock")
-        )
-        for layout in layouts:
-            if layout != CHWN:
-                costs.per_layout[str(layout)] = (nchw_ms, nchw_impl, None)
-    elif node.kind is NodeKind.ELEMENTWISE:
-        for layout in layouts:
-            costs.per_layout[str(layout)] = (node.fixed_ms, "elementwise", None)
-    else:  # CLASSIFIER
-        if isinstance(node.spec, SoftmaxSpec):
-            ms = engine.run(make_softmax_kernel(node.spec, "opt")).time_ms
-            impl = "softmax-opt"
-        else:
-            ms, impl = node.fixed_ms, "gemm"
-        for layout in layouts:
-            costs.per_layout[str(layout)] = (ms, impl, None)
-    return costs
-
-
-def _transform_ms(
-    device: DeviceSpec,
-    node: PlanNode,
-    src: DataLayout,
-    dst: DataLayout,
-) -> float:
-    if src == dst or node.in_dims is None:
-        return 0.0
-    if node.kind is NodeKind.CLASSIFIER:
-        return 0.0  # flattening erases the 4-D layout; no transform needed
-    desc = TensorDesc(*node.in_dims, layout=src)
-    return transform_time_ms(device, desc, dst, method="auto")
-
-
-def _build_costs(
+def _plan_chain(
     device: DeviceSpec,
     nodes: list[PlanNode],
-    tune_pooling: bool,
-    allow_fft: bool,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
-    context: SimulationContext | None = None,
-) -> list[_LayerCosts]:
-    engine = (context or default_context(device)).engine(check_memory=False)
-    return [
-        _node_costs(engine, node, device, tune_pooling, allow_fft, layouts)
-        for node in nodes
-    ]
-
-
-def _assemble(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    costs: list[_LayerCosts],
-    layouts: list[DataLayout],
-    strategy: str,
+    context: SimulationContext | None,
+    **fields: object,
 ) -> LayoutPlan:
-    steps: list[PlanStep] = []
-    prev = layouts[0]
-    for node, cost, layout in zip(nodes, costs, layouts):
-        t_ms = _transform_ms(device, node, prev, layout)
-        layer_ms, impl, coarsen = cost.choice(layout)
-        effective = layout if node.kind in (NodeKind.CONV, NodeKind.POOL) else None
-        steps.append(
-            PlanStep(
-                name=node.name,
-                kind=node.kind,
-                layout=effective,
-                implementation=impl,
-                layer_ms=layer_ms,
-                transform_ms=t_ms,
-                coarsening=coarsen,
-                transformed_from=prev if t_ms > 0 else None,
-                transformed_to=layout if t_ms > 0 else None,
-            )
-        )
-        if node.kind is not NodeKind.CLASSIFIER:
-            prev = layout
-    return LayoutPlan(steps=tuple(steps), device=device.name, strategy=strategy)
+    """Lower a chain to the graph IR and plan it with the pass pipeline
+    under ``PipelineOptions(**fields)``."""
+    from ..ir.build import graph_from_plan_nodes
+    from .pipeline import PipelineOptions, run_pipeline
+
+    options = PipelineOptions(**fields)  # type: ignore[arg-type]
+    graph = graph_from_plan_nodes(list(nodes))
+    return run_pipeline(device, graph, options, context=context).plan
 
 
 def plan_single_layout(
@@ -261,15 +137,21 @@ def plan_single_layout(
     layout: DataLayout,
     tune_pooling: bool = False,
     allow_fft: bool = True,
-    strategy: str | None = None,
     context: SimulationContext | None = None,
 ) -> LayoutPlan:
     """Cost of running the whole network in one fixed layout (the existing
-    libraries' behaviour)."""
-    costs = _build_costs(device, nodes, tune_pooling, allow_fft, context=context)
-    layouts = [layout] * len(nodes)
-    return _assemble(
-        device, nodes, costs, layouts, strategy or f"single-{layout}"
+    libraries' behaviour), planned as ``single-<layout>``.
+
+    Wrapper over the pass pipeline's ``single`` strategy.
+    """
+    return _plan_chain(
+        device,
+        nodes,
+        context,
+        strategy="single",
+        single_layout=layout,
+        tune_pooling=tune_pooling,
+        allow_fft=allow_fft,
     )
 
 
@@ -284,87 +166,24 @@ def plan_with_heuristic(
     """The paper's mechanism: per-layer (Ct, Nt) rules + transform-cost
     fine-tuning.
 
-    Compatibility wrapper: lowers the chain to the graph IR and runs the
-    pass pipeline (``AssignLayouts`` replays the exact algorithm below).
-    Prefer :func:`repro.core.pipeline.run_pipeline` in new code.
-    """
-    from ..ir.build import graph_from_plan_nodes
-    from .pipeline import PipelineOptions, run_pipeline
+    After the per-layer preferences are set, each *maximal run* of layers
+    whose preference differs from its surroundings is kept only if its
+    benefit exceeds the two transforms it would cost (this is what keeps
+    tiny first-layer convolutions like CV9 in the surrounding layout).
 
-    options = PipelineOptions(
+    Wrapper over the pass pipeline (``AssignLayouts`` runs the fine-tune
+    on chains).  Prefer :func:`repro.core.pipeline.run_pipeline` in new
+    code.
+    """
+    return _plan_chain(
+        device,
+        nodes,
+        context,
         strategy="heuristic",
         thresholds=thresholds,
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
     )
-    graph = graph_from_plan_nodes(list(nodes))
-    return run_pipeline(device, graph, options, context=context).plan
-
-
-def _legacy_plan_with_heuristic(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    thresholds: LayoutThresholds | None = None,
-    tune_pooling: bool = True,
-    allow_fft: bool = True,
-    context: SimulationContext | None = None,
-) -> LayoutPlan:
-    """The original chain-only implementation, kept verbatim as the golden
-    reference the pipeline equivalence tests compare against.
-
-    After the per-layer preferences are set, each *maximal run* of layers
-    whose preference differs from its surroundings is kept only if its
-    benefit exceeds the two transforms it would cost (this is what keeps
-    tiny first-layer convolutions like CV9 in the surrounding layout).
-    """
-    thresholds = thresholds or thresholds_for(device)
-    costs = _build_costs(device, nodes, tune_pooling, allow_fft, context=context)
-
-    preferred: list[DataLayout] = []
-    for node in nodes:
-        if node.kind is NodeKind.CONV:
-            assert isinstance(node.spec, ConvSpec)
-            preferred.append(preferred_conv_layout(node.spec, thresholds))
-        elif node.kind is NodeKind.POOL:
-            assert isinstance(node.spec, PoolSpec)
-            preferred.append(preferred_pool_layout(node.spec))
-        else:
-            preferred.append(preferred[-1] if preferred else CHWN)
-
-    # Fine-tune: flatten a run of same-preference layers into a neighbouring
-    # layout when the run's benefit does not pay for its boundary transforms.
-    layouts = list(preferred)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(layouts):
-            j = i
-            while j < len(layouts) and layouts[j] == layouts[i]:
-                j += 1
-            current = layouts[i]
-            prev_l = layouts[i - 1] if i > 0 else None
-            next_l = layouts[j] if j < len(layouts) else None
-            alt = prev_l if (prev_l is not None and prev_l != current) else (
-                next_l if (next_l is not None and next_l != current) else None
-            )
-            if alt is not None:
-                keep_cost = sum(costs[k].cost(current) for k in range(i, j))
-                if prev_l is not None and prev_l != current:
-                    keep_cost += _transform_ms(device, nodes[i], prev_l, current)
-                if next_l is not None and next_l != current:
-                    keep_cost += _transform_ms(device, nodes[j], current, next_l)
-                flat_cost = sum(costs[k].cost(alt) for k in range(i, j))
-                if prev_l is not None and prev_l != alt:
-                    flat_cost += _transform_ms(device, nodes[i], prev_l, alt)
-                if next_l is not None and next_l != alt:
-                    flat_cost += _transform_ms(device, nodes[j], alt, next_l)
-                if flat_cost < keep_cost:
-                    for k in range(i, j):
-                        layouts[k] = alt
-                    changed = True
-            i = j
-    return _assemble(device, nodes, costs, layouts, "heuristic")
 
 
 def plan_optimal(
@@ -382,59 +201,18 @@ def plan_optimal(
     pair (e.g. to include NHWC); every candidate layout needs a registered
     convolution implementation family.
 
-    Compatibility wrapper over the pass pipeline (``AssignLayouts`` runs
-    the exact DP below on chains and generalizes it to DAGs).  Prefer
+    Wrapper over the pass pipeline (``AssignLayouts`` runs the DP on
+    chains and generalizes it to DAGs).  Prefer
     :func:`repro.core.pipeline.run_pipeline` in new code.
     """
     if not layouts:
         raise ValueError("need at least one candidate layout")
-    from ..ir.build import graph_from_plan_nodes
-    from .pipeline import PipelineOptions, run_pipeline
-
-    options = PipelineOptions(
+    return _plan_chain(
+        device,
+        nodes,
+        context,
         strategy="optimal",
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
         layouts=tuple(layouts),
     )
-    graph = graph_from_plan_nodes(list(nodes))
-    return run_pipeline(device, graph, options, context=context).plan
-
-
-def _legacy_plan_optimal(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    tune_pooling: bool = True,
-    allow_fft: bool = True,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
-    context: SimulationContext | None = None,
-) -> LayoutPlan:
-    """The original chain-only DP, kept verbatim as the golden reference
-    the pipeline equivalence tests compare against."""
-    if not layouts:
-        raise ValueError("need at least one candidate layout")
-    costs = _build_costs(device, nodes, tune_pooling, allow_fft, layouts, context)
-    n = len(nodes)
-    if n == 0:
-        return LayoutPlan(steps=(), device=device.name, strategy="optimal")
-
-    best: list[dict[str, float]] = [dict() for _ in range(n)]
-    back: list[dict[str, str]] = [dict() for _ in range(n)]
-    for layout in layouts:
-        best[0][str(layout)] = costs[0].cost(layout)
-    for i in range(1, n):
-        for layout in layouts:
-            options = []
-            for prev in layouts:
-                t = _transform_ms(device, nodes[i], prev, layout)
-                options.append((best[i - 1][str(prev)] + t + costs[i].cost(layout), str(prev)))
-            cost, prev_key = min(options)
-            best[i][str(layout)] = cost
-            back[i][str(layout)] = prev_key
-
-    final = min(layouts, key=lambda lo: best[n - 1][str(lo)])
-    layouts = [final]
-    for i in range(n - 1, 0, -1):
-        layouts.append(DataLayout(back[i][str(layouts[-1])]))
-    layouts.reverse()
-    return _assemble(device, nodes, costs, layouts, "optimal")

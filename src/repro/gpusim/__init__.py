@@ -5,7 +5,8 @@ the paper's GPUs, a coalescing unit, a set-associative L2, a shared-memory
 bank-conflict model, an occupancy calculator, and an analytic
 ``max(compute, memory)`` timing model with latency-bound and launch-overhead
 terms.  Everything above it (layers, transforms, planners) expresses kernels
-as :class:`KernelModel` objects and asks :class:`SimulationEngine` for time.
+as :class:`KernelModel` objects and asks a :class:`SimulationContext` for
+time.
 """
 
 from .batch import (
@@ -42,12 +43,6 @@ from .device import (
     register_device,
 )
 from .dram import MemoryServiceTimes, memory_service_time
-from .engine import (
-    GpuOutOfMemoryError,
-    SequenceStats,
-    SimulationEngine,
-    simulate,
-)
 from .exec import (
     adaptive_chunk_size,
     evaluate_cells,
@@ -57,6 +52,8 @@ from .exec import (
     shutdown_pool,
 )
 from .session import (
+    GpuOutOfMemoryError,
+    SequenceStats,
     SimStats,
     SimulationContext,
     default_context,
@@ -127,7 +124,6 @@ __all__ = [
     "SetAssociativeCache",
     "SimStats",
     "SimulationContext",
-    "SimulationEngine",
     "TITAN_BLACK",
     "TITAN_X",
     "TraceResult",
@@ -166,7 +162,6 @@ __all__ = [
     "set_fast_path",
     "set_min_round_sets",
     "shutdown_pool",
-    "simulate",
     "structural_key",
     "stream_addresses",
     "strided_pattern",

@@ -515,7 +515,7 @@ def evaluate_models(
             try:
                 for sub in subs:
                     if fit_enabled:
-                        context._check_fit(sub, check_memory, None)
+                        context._check_fit(sub, check_memory)
                     spec_append(
                         EvalSpec(
                             sub.launch_config(device),

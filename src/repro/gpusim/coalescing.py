@@ -7,7 +7,7 @@ measure of access efficiency: a fully coalesced float32 warp load touches 4
 segments; a stride-N load can touch up to 32, over-fetching 8x.
 
 This module converts per-warp byte addresses into transaction counts.  It is
-pure NumPy and fully vectorized so the engine can push millions of sampled
+pure NumPy and fully vectorized so the simulator can push millions of sampled
 addresses through it cheaply.
 """
 

@@ -1,7 +1,7 @@
 """DRAM service model.
 
 Converts a :class:`~repro.gpusim.kernel.MemoryProfile` into the three memory
-service times the engine takes a maximum over:
+service times the simulator takes a maximum over:
 
 * **bandwidth time** — DRAM bytes over sustainable bandwidth (degraded at
   low occupancy via the latency-hiding factor);

@@ -76,9 +76,14 @@ from ..obs.tracer import (
 from .cache import fast_path_enabled, min_round_sets, set_fast_path, set_min_round_sets
 from .batch import batched_eval_enabled, evaluate_models, set_batched_eval
 from .device import DeviceSpec
-from .engine import GpuOutOfMemoryError
 from .kernel import ComposedKernel, KernelModel
-from .session import SimStats, SimulationContext, _kind_of, structural_key
+from .session import (
+    GpuOutOfMemoryError,
+    SimStats,
+    SimulationContext,
+    _kind_of,
+    structural_key,
+)
 from .timing import KernelStats
 
 __all__ = [
@@ -147,7 +152,7 @@ def _fit_error(
                 if err is not None:
                     return err
             else:
-                context._check_fit(sub, check_memory, None)
+                context._check_fit(sub, check_memory)
     except GpuOutOfMemoryError as exc:
         return exc
     return None

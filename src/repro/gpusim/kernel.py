@@ -10,7 +10,7 @@ latency-bound behaviour).
 Concrete kernels (direct convolution, im2col+GEMM, pooling in each layout,
 the softmax variants, the layout-transform kernels) live next to their layer
 in ``repro.layers`` / ``repro.tensors``; this module only defines the shared
-vocabulary consumed by :mod:`repro.gpusim.engine`.
+vocabulary consumed by :mod:`repro.gpusim.session`.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class KernelModel(ABC):
     """One modelled GPU kernel.
 
     Subclasses describe *what the kernel does to the memory system*; the
-    engine turns that into time.  ``n_launches`` > 1 models multi-pass
+    simulator turns that into time.  ``n_launches`` > 1 models multi-pass
     implementations (the 5-kernel softmax, FFT's transform/product/inverse
     passes) where each pass pays a launch overhead.
     """
@@ -217,7 +217,7 @@ class ComposedKernel(KernelModel):
 
     Used for implementations the paper treats as one layer call made of
     several passes (im2col + GEMM, the FFT pipeline, naive multi-kernel
-    softmax).  Timing composes additively in the engine; this class only
+    softmax).  Timing composes additively in the simulator; this class only
     aggregates the static description for reporting.
     """
 

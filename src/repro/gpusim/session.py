@@ -1,13 +1,12 @@
-"""Simulation sessions: one shared engine state for a whole workload.
+"""Simulation sessions: one shared simulator state for a whole workload.
 
 The paper's pitch is *one-time profiling* whose results amortize across a
-network (Section IV.D) — yet historically every consumer of the simulator
-(planner, selector, autotuner, fusion pass, baselines, sweeps, CLI) built a
-private :class:`~repro.gpusim.engine.SimulationEngine` whose memo cache was
-keyed by ``id(model)``, so freshly-built kernel models never hit it and the
-same Table-1 kernels were re-timed dozens of times per plan.
+network (Section IV.D).  Every consumer of the simulator (planner, selector,
+autotuner, fusion pass, baselines, sweeps, CLI) times kernels through a
+:class:`SimulationContext`, so the same Table-1 kernels are timed once per
+session rather than once per call site.
 
-This module is the fix, in the spirit of cuDNN's single library handle:
+This module is built in the spirit of cuDNN's single library handle:
 
 * :func:`structural_key` — a content-addressed key derived from a kernel
   model's structural state plus the full device spec, so two structurally
@@ -15,11 +14,10 @@ This module is the fix, in the spirit of cuDNN's single library handle:
 * :class:`SimStats` — instrumentation counters (hits, misses, wall-clock
   spent simulating, per-kind breakdown) that any session can print;
 * :class:`SimulationContext` — the session object owning the cache, the
-  stats, and the OOM/``tensor_bytes_resident`` accounting, with optional
-  JSON persistence for cross-process reuse by benchmarks;
-* :func:`default_context` — a per-device shared session that the
-  :class:`SimulationEngine` compatibility shim delegates to, so code that
-  still instantiates engines ad hoc transparently shares one hot cache.
+  stats, and the OOM accounting, with optional JSON persistence for
+  cross-process reuse by benchmarks;
+* :func:`default_context` — a per-device shared session for code that does
+  not thread its own context, so ad-hoc callers still share one hot cache.
 """
 
 from __future__ import annotations
@@ -461,10 +459,7 @@ class SimulationContext:
         The simulated GPU.
     check_memory:
         Default OOM-checking behaviour for :meth:`run`; individual calls
-        (and the :class:`SimulationEngine` shim) may override it.
-    tensor_bytes_resident:
-        Bytes already resident on the device, counted against capacity by
-        the OOM check (the engine's historical accounting, preserved).
+        may override it.
     cache_path:
         Optional JSON file for cross-process cache reuse.  Loaded eagerly
         when it exists; written by :meth:`save_cache`.
@@ -474,12 +469,10 @@ class SimulationContext:
         self,
         device: DeviceSpec,
         check_memory: bool = True,
-        tensor_bytes_resident: float = 0.0,
         cache_path: str | Path | None = None,
     ) -> None:
         self.device = device
         self.check_memory = check_memory
-        self.tensor_bytes_resident = tensor_bytes_resident
         #: the session's metrics; ``stats`` is the SimStats view over it
         self.metrics = MetricsRegistry()
         self.stats = SimStats(self.metrics)
@@ -495,14 +488,11 @@ class SimulationContext:
 
     # -- simulation --------------------------------------------------------
     def run(
-        self,
-        model: KernelModel,
-        check_memory: bool | None = None,
-        tensor_bytes_resident: float | None = None,
+        self, model: KernelModel, check_memory: bool | None = None
     ) -> KernelStats:
         """Time one kernel model, serving structurally-equal repeats from
         the cache; raises :class:`GpuOutOfMemoryError` when enabled checks
-        find the workspace plus resident tensors exceed device memory.
+        find the workspace exceeds device memory.
 
         Every dispatch records a ``sim.kernel`` span on the active tracer
         (when one is installed) carrying the kernel name, family, whether
@@ -511,10 +501,7 @@ class SimulationContext:
             tracer = active_tracer()
             if tracer is None:
                 seq = self.run_sequence(
-                    model.kernels,
-                    name=model.name,
-                    check_memory=check_memory,
-                    tensor_bytes_resident=tensor_bytes_resident,
+                    model.kernels, name=model.name, check_memory=check_memory
                 )
                 return _collapse_sequence(seq, self.device)
             with tracer.span(
@@ -525,15 +512,12 @@ class SimulationContext:
                 composed=True,
             ) as sp:
                 seq = self.run_sequence(
-                    model.kernels,
-                    name=model.name,
-                    check_memory=check_memory,
-                    tensor_bytes_resident=tensor_bytes_resident,
+                    model.kernels, name=model.name, check_memory=check_memory
                 )
                 stats = _collapse_sequence(seq, self.device)
                 sp.attrs["time_ms"] = stats.time_ms
             return stats
-        self._check_fit(model, check_memory, tensor_bytes_resident)
+        self._check_fit(model, check_memory)
         tracer = active_tracer()
         if tracer is None:
             return self._timed(model)
@@ -576,53 +560,22 @@ class SimulationContext:
         models: list[KernelModel],
         name: str = "sequence",
         check_memory: bool | None = None,
-        tensor_bytes_resident: float | None = None,
     ) -> "SequenceStats":
         """Time a dependent sequence of kernels (no overlap between them:
         the paper's inter-kernel data passes through off-chip memory, so the
         next kernel cannot start early)."""
         return SequenceStats(
             name=name,
-            kernels=tuple(
-                self.run(m, check_memory, tensor_bytes_resident) for m in models
-            ),
+            kernels=tuple(self.run(m, check_memory) for m in models),
         )
 
-    def _check_fit(
-        self,
-        model: KernelModel,
-        check_memory: bool | None,
-        tensor_bytes_resident: float | None,
-    ) -> None:
+    def _check_fit(self, model: KernelModel, check_memory: bool | None) -> None:
         enabled = self.check_memory if check_memory is None else check_memory
         if not enabled:
             return
-        resident = (
-            self.tensor_bytes_resident
-            if tensor_bytes_resident is None
-            else tensor_bytes_resident
-        )
-        required = model.workspace_bytes() + resident
+        required = model.workspace_bytes()
         if required > self.device.dram_bytes:
             raise GpuOutOfMemoryError(model.name, required, self.device.dram_bytes)
-
-    # -- engine views ------------------------------------------------------
-    def engine(
-        self, check_memory: bool | None = None, tensor_bytes_resident: float = 0.0
-    ) -> "SimulationEngine":
-        """A :class:`SimulationEngine` view bound to this context.
-
-        Lets call sites keep the familiar ``engine.run(...)`` shape while
-        sharing this session's cache and counters.
-        """
-        from .engine import SimulationEngine
-
-        return SimulationEngine(
-            self.device,
-            check_memory=self.check_memory if check_memory is None else check_memory,
-            tensor_bytes_resident=tensor_bytes_resident,
-            context=self,
-        )
 
     # -- cache management --------------------------------------------------
     @property
@@ -753,7 +706,7 @@ def _stats_from_dict(record: dict[str, Any]) -> KernelStats:
 
 
 # ---------------------------------------------------------------------------
-# Sequence aggregation (formerly in engine.py)
+# Sequence aggregation
 # ---------------------------------------------------------------------------
 
 
@@ -827,9 +780,8 @@ _DEFAULT_CONTEXTS: dict[DeviceSpec, SimulationContext] = {}
 def default_context(device: DeviceSpec) -> SimulationContext:
     """The process-wide shared session for ``device``.
 
-    :class:`SimulationEngine` instances without an explicit context delegate
-    here, which is what turns the historical engine-per-call-site pattern
-    into one hot cache per device.
+    Consumers called without an explicit context delegate here, so ad-hoc
+    call sites share one hot cache per device.
     """
     ctx = _DEFAULT_CONTEXTS.get(device)
     if ctx is None:

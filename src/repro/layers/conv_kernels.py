@@ -268,7 +268,7 @@ class FFTConvNCHW(KernelModel):
     def workspace_bytes(self) -> float:
         # 4.5x is the Titan Black ArchProfile's fft_workspace_factor; kept
         # as a plain default here because workspace is checked before the
-        # device is known in some planner paths.  The engine applies the
+        # device is known in some planner paths.  The simulator applies the
         # check against the actual card capacity.
         in_maps, filt_maps, out_maps = self._map_counts()
         per_map = self.geometry.points * 8.0  # complex64

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpusim import TITAN_BLACK, TITAN_X, SimulationEngine
+from repro.gpusim import TITAN_BLACK, TITAN_X
 from repro.layers import ConvSpec, PoolSpec, SoftmaxSpec
 
 
@@ -17,11 +17,6 @@ def device():
 @pytest.fixture(scope="session")
 def titan_x():
     return TITAN_X
-
-
-@pytest.fixture()
-def engine(device):
-    return SimulationEngine(device)
 
 
 @pytest.fixture(scope="session")

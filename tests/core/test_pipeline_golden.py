@@ -1,25 +1,34 @@
 """Golden equivalence: the pass pipeline reproduces the legacy planner.
 
-The legacy chain algorithms are kept verbatim in ``repro.core.planner`` as
-``_legacy_plan_with_heuristic`` / ``_legacy_plan_optimal``; the public
-``plan_with_heuristic`` / ``plan_optimal`` now route through the pipeline.
+The legacy chain algorithms are kept verbatim in
+``tests/core/legacy_planner.py`` (``_legacy_plan_with_heuristic``,
+``_legacy_plan_optimal``, and ``_build_costs`` + ``_assemble`` for a
+single layout); the public ``plan_single_layout`` /
+``plan_with_heuristic`` / ``plan_optimal`` route through the pipeline.
 These tests pin the two paths to identical plans — step sequence, layouts,
 implementations, transform records, and total time — on every bundled
-chain network, for both strategies.
+chain network, for every strategy.
 """
 
 import pytest
 
-from repro.core.pipeline import PipelineOptions, plan_network
+from repro.core.pipeline import PipelineOptions, plan_network, plan_nodes
 from repro.core.planner import (
-    _legacy_plan_optimal,
-    _legacy_plan_with_heuristic,
     plan_optimal,
+    plan_single_layout,
     plan_with_heuristic,
 )
 from repro.framework import Net
+from repro.gpusim import TITAN_BLACK, TITAN_X
 from repro.gpusim.session import SimulationContext
 from repro.networks import build_network
+from repro.tensors import CHWN, NCHW
+from tests.core.legacy_planner import (
+    _assemble,
+    _build_costs,
+    _legacy_plan_optimal,
+    _legacy_plan_with_heuristic,
+)
 
 CHAIN_NETWORKS = ("lenet", "cifar", "alexnet", "alexnet-grouped", "zfnet", "vgg")
 
@@ -85,3 +94,59 @@ def test_no_fft_option_respected(device, ctx):
 def test_empty_chain(device):
     assert plan_optimal(device, []).steps == ()
     assert plan_with_heuristic(device, []).steps == ()
+
+
+@pytest.fixture(scope="module")
+def contexts():
+    """One shared timing cache per device for the single-layout grid."""
+    return {
+        dev.name: SimulationContext(dev, check_memory=False)
+        for dev in (TITAN_BLACK, TITAN_X)
+    }
+
+
+@pytest.mark.parametrize("name", CHAIN_NETWORKS)
+@pytest.mark.parametrize("dev", (TITAN_BLACK, TITAN_X), ids=("titan-black", "titan-x"))
+@pytest.mark.parametrize("layout", (CHWN, NCHW), ids=str)
+@pytest.mark.parametrize("tune_pooling", (False, True), ids=("plain", "tuned"))
+@pytest.mark.parametrize("allow_fft", (False, True), ids=("nofft", "fft"))
+def test_single_matches_legacy(name, dev, layout, tune_pooling, allow_fft, contexts):
+    """The pipeline's ``single`` strategy (and the ``plan_single_layout``
+    wrapper over it) equals the legacy cost table assembled in one layout."""
+    ctx = contexts[dev.name]
+    nodes = Net(build_network(name), context=ctx).planner_nodes(dev)
+    costs = _build_costs(dev, nodes, tune_pooling, allow_fft, context=ctx)
+    legacy = _assemble(
+        dev, nodes, costs, [layout] * len(nodes), f"single-{layout}"
+    )
+    options = PipelineOptions(
+        strategy="single",
+        single_layout=layout,
+        tune_pooling=tune_pooling,
+        allow_fft=allow_fft,
+    )
+    pipeline = plan_nodes(dev, nodes, options, context=ctx).plan
+    assert_plans_identical(pipeline, legacy)
+    assert pipeline.strategy == legacy.strategy
+    wrapper = plan_single_layout(
+        dev, nodes, layout, tune_pooling=tune_pooling, allow_fft=allow_fft,
+        context=ctx,
+    )
+    assert wrapper == legacy
+
+
+@pytest.mark.parametrize("name", CHAIN_NETWORKS)
+@pytest.mark.parametrize("strategy", ("heuristic", "optimal"))
+def test_titan_x_matches_legacy(name, strategy, contexts):
+    """The heuristic and optimal wrappers match the legacy planners on the
+    second device too (its thresholds and costs differ)."""
+    ctx = contexts[TITAN_X.name]
+    nodes = Net(build_network(name), context=ctx).planner_nodes(TITAN_X)
+    if strategy == "heuristic":
+        legacy = _legacy_plan_with_heuristic(TITAN_X, nodes, context=ctx)
+        got = plan_with_heuristic(TITAN_X, nodes, context=ctx)
+    else:
+        legacy = _legacy_plan_optimal(TITAN_X, nodes, context=ctx)
+        got = plan_optimal(TITAN_X, nodes, context=ctx)
+    assert_plans_identical(got, legacy)
+    assert got.strategy == legacy.strategy

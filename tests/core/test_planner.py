@@ -51,7 +51,7 @@ class TestOptimalPlan:
 
     def test_matches_brute_force_on_small_chain(self, device, lenet_nodes):
         """DP == exhaustive enumeration over layout assignments."""
-        from repro.core.planner import _build_costs, _transform_ms
+        from tests.core.legacy_planner import _build_costs, _transform_ms
 
         nodes = lenet_nodes
         costs = _build_costs(device, nodes, tune_pooling=True, allow_fft=True)

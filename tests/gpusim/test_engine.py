@@ -1,4 +1,5 @@
-"""Simulation engine: sequencing, OOM checks, memoization."""
+"""The simulator front door (``SimulationContext.run``): sequencing, OOM
+checks, memoization."""
 
 import pytest
 
@@ -8,13 +9,13 @@ from repro.gpusim import (
     KernelModel,
     LaunchConfig,
     MemoryProfile,
-    SimulationEngine,
-    simulate,
+    SimulationContext,
+    default_context,
 )
 
 
 class ToyKernel(KernelModel):
-    """Minimal concrete kernel for engine tests."""
+    """Minimal concrete kernel for simulator tests."""
 
     def __init__(self, name="toy", flops=1e9, bytes_=1e8, workspace=0.0):
         self.name = name
@@ -37,69 +38,65 @@ class ToyKernel(KernelModel):
 
 class TestRun:
     def test_simulate_convenience(self, device):
-        stats = simulate(device, ToyKernel())
+        """One-shot timing through the per-device default session."""
+        stats = default_context(device).run(ToyKernel())
         assert stats.time_ms > 0
         assert stats.device == device.name
 
     def test_memoization_returns_same_stats(self, device):
-        engine = SimulationEngine(device)
+        ctx = SimulationContext(device)
         k = ToyKernel()
-        assert engine.run(k) is engine.run(k)
+        assert ctx.run(k) is ctx.run(k)
 
     def test_distinct_kernels_not_conflated(self, device):
         """Regression: id() reuse after GC must not poison the cache."""
-        engine = SimulationEngine(device)
+        ctx = SimulationContext(device)
         times = set()
         for flops in (1e9, 1e11, 1e12):
-            times.add(round(engine.run(ToyKernel(flops=flops)).time_ms, 9))
+            times.add(round(ctx.run(ToyKernel(flops=flops)).time_ms, 9))
         assert len(times) == 3
 
 
 class TestOom:
     def test_oversized_workspace_raises(self, device):
-        engine = SimulationEngine(device)
+        ctx = SimulationContext(device)
         with pytest.raises(GpuOutOfMemoryError) as err:
-            engine.run(ToyKernel(workspace=7 * 2**30))
+            ctx.run(ToyKernel(workspace=7 * 2**30))
         assert err.value.required_bytes == 7 * 2**30
 
-    def test_resident_tensors_count_against_capacity(self, device):
-        engine = SimulationEngine(device, tensor_bytes_resident=5 * 2**30)
-        with pytest.raises(GpuOutOfMemoryError):
-            engine.run(ToyKernel(workspace=2 * 2**30))
-
     def test_check_can_be_disabled(self, device):
-        engine = SimulationEngine(device, check_memory=False)
-        stats = engine.run(ToyKernel(workspace=7 * 2**30))
+        ctx = SimulationContext(device)
+        stats = ctx.run(ToyKernel(workspace=7 * 2**30), check_memory=False)
         assert stats.time_ms > 0
 
 
 class TestSequences:
     def test_sequence_time_is_additive(self, device):
-        engine = SimulationEngine(device)
+        ctx = SimulationContext(device)
         kernels = [ToyKernel(name=f"k{i}") for i in range(3)]
-        seq = engine.run_sequence(kernels, name="pipeline")
+        seq = ctx.run_sequence(kernels, name="pipeline")
         assert seq.time_ms == pytest.approx(
-            sum(engine.run(k).time_ms for k in kernels)
+            sum(ctx.run(k).time_ms for k in kernels)
         )
         assert seq.flops == pytest.approx(3e9)
 
     def test_composed_kernel_collapses(self, device):
-        engine = SimulationEngine(device)
+        ctx = SimulationContext(device)
         composed = ComposedKernel(
             kernels=[ToyKernel(name="a"), ToyKernel(name="b")], name="ab"
         )
-        stats = engine.run(composed)
+        stats = ctx.run(composed)
         assert stats.name == "ab"
         assert stats.n_launches == 2
-        assert stats.time_ms == pytest.approx(2 * engine.run(ToyKernel()).time_ms)
+        assert stats.time_ms == pytest.approx(2 * ctx.run(ToyKernel()).time_ms)
 
     def test_composed_requires_kernels(self):
         with pytest.raises(ValueError):
             ComposedKernel(kernels=[])
 
     def test_sequence_bandwidth_properties(self, device):
-        engine = SimulationEngine(device)
-        seq = engine.run_sequence([ToyKernel()])
+        ctx = SimulationContext(device)
+        seq = ctx.run_sequence([ToyKernel()])
         assert seq.achieved_bandwidth_gbs > 0
         assert seq.effective_bandwidth_gbs > 0
         assert seq.achieved_gflops > 0

@@ -27,7 +27,7 @@ from repro.gpusim import (
     map_chunks,
     shutdown_pool,
 )
-from repro.gpusim.engine import GpuOutOfMemoryError
+from repro.gpusim import GpuOutOfMemoryError
 from repro.gpusim.exec import (
     DEFAULT_MIN_CHUNK,
     TARGET_CHUNK_S,
@@ -271,8 +271,8 @@ class TestMapChunksSerial:
 
 class TestMapChunksPool:
     @pytest.fixture(autouse=True)
-    def _four_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         yield
         shutdown_pool()
 
@@ -280,20 +280,20 @@ class TestMapChunksPool:
         models = _pool_models(small_pool, (4, 8, 16, 32))
         ref = evaluate_models(_fresh(device), models, check_memory=False)
         ctx = _fresh(device)
-        out = map_chunks(_eval_chunk, models, ctx, jobs=4, chunk_size=2)
+        out = map_chunks(_eval_chunk, models, ctx, jobs=2, chunk_size=2)
         assert out == ref
         # Every worker delta merged home: the parent can serve all cells.
         assert ctx.cache_size == len(models)
-        assert pool_workers() == 4
+        assert pool_workers() == 2
 
     def test_delta_merge_back_under_pool_reuse(self, device, small_pool):
         first = _pool_models(small_pool, (4, 8))
         more = _pool_models(small_pool, (4, 8, 16, 32))
         ref = evaluate_models(_fresh(device), more, check_memory=False)
         ctx = _fresh(device)
-        map_chunks(_eval_chunk, first, ctx, jobs=4, chunk_size=2)
+        map_chunks(_eval_chunk, first, ctx, jobs=2, chunk_size=2)
         reuse0 = global_registry().value("exec.pool.reuse") or 0
-        out = map_chunks(_eval_chunk, more, ctx, jobs=4, chunk_size=2)
+        out = map_chunks(_eval_chunk, more, ctx, jobs=2, chunk_size=2)
         assert out == ref
         assert ctx.cache_size == len(more)
         # Same pool, second submission: warm workers were reused and the
@@ -304,7 +304,7 @@ class TestMapChunksPool:
     def test_pool_then_serial_hits(self, device, small_pool):
         models = _pool_models(small_pool, (4, 8, 16, 32))
         ctx = _fresh(device)
-        out_pool = map_chunks(_eval_chunk, models, ctx, jobs=4, chunk_size=2)
+        out_pool = map_chunks(_eval_chunk, models, ctx, jobs=2, chunk_size=2)
         hits0 = global_registry().value("exec.cache.hit") or 0
         out_serial = map_chunks(_eval_chunk, models, ctx, jobs=1)
         assert out_serial == out_pool
@@ -371,9 +371,12 @@ class TestMapChunksFaults:
 
 
 class TestConsumerByteIdentity:
+    """``jobs=4`` is clamped to the two CPUs the fixture reports, so the
+    parallel cases run a 2-worker pool through the clamped path."""
+
     @pytest.fixture(autouse=True)
-    def _four_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         yield
         shutdown_pool()
 
@@ -392,6 +395,7 @@ class TestConsumerByteIdentity:
         )
         assert first == fresh
         assert again == fresh
+        assert pool_workers() == (2 if jobs > 1 else 0)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_sweep_conv_memoized(self, device, small_conv, jobs):
@@ -405,6 +409,7 @@ class TestConsumerByteIdentity:
         again = sweep_conv(device, small_conv, "ci", values, context=warm, jobs=jobs)
         assert first == fresh
         assert again == fresh
+        assert pool_workers() == (2 if jobs > 1 else 0)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_calibrate_memoized(self, device, jobs):
@@ -414,6 +419,7 @@ class TestConsumerByteIdentity:
         again = calibrate(device, context=warm, jobs=jobs)
         assert first == fresh
         assert again == fresh
+        assert pool_workers() == (2 if jobs > 1 else 0)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_autotune_memoized(self, device, small_pool, jobs):

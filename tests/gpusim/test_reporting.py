@@ -5,9 +5,9 @@ import pytest
 from repro.gpusim import (
     TITAN_BLACK,
     comparison_table,
+    default_context,
     kernel_report,
     roofline_point,
-    simulate,
 )
 from repro.layers import make_conv_kernel, make_pool_kernel
 from repro.networks import CONV_LAYERS, POOL_LAYERS
@@ -18,12 +18,16 @@ def conv_stats():
     # CV12 under direct convolution: high arithmetic intensity (the input
     # is small relative to the 29.6 GFLOP of work), so it sits under the
     # compute roof.
-    return simulate(TITAN_BLACK, make_conv_kernel(CONV_LAYERS["CV12"], "direct"))
+    return default_context(TITAN_BLACK).run(
+        make_conv_kernel(CONV_LAYERS["CV12"], "direct")
+    )
 
 
 @pytest.fixture(scope="module")
 def pool_stats():
-    return simulate(TITAN_BLACK, make_pool_kernel(POOL_LAYERS["PL5"], "chwn"))
+    return default_context(TITAN_BLACK).run(
+        make_pool_kernel(POOL_LAYERS["PL5"], "chwn")
+    )
 
 
 class TestRooflinePoint:

@@ -17,7 +17,6 @@ from repro.gpusim import (
     MemoryProfile,
     SimStats,
     SimulationContext,
-    SimulationEngine,
     default_context,
     reset_default_contexts,
     structural_key,
@@ -252,11 +251,6 @@ class TestOom:
             ctx.run(ToyKernel(workspace=7 * 2**30))
         assert err.value.required_bytes == 7 * 2**30
 
-    def test_resident_tensors_count_against_capacity(self, device):
-        ctx = SimulationContext(device, tensor_bytes_resident=5 * 2**30)
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(ToyKernel(workspace=2 * 2**30))
-
     def test_oom_fires_even_on_cache_hits(self, device):
         """Caching a timing must not cache away the capacity check."""
         ctx = SimulationContext(device, check_memory=False)
@@ -264,25 +258,18 @@ class TestOom:
         with pytest.raises(GpuOutOfMemoryError):
             ctx.run(ToyKernel(workspace=7 * 2**30), check_memory=True)
 
-    def test_per_call_resident_override(self, device):
-        ctx = SimulationContext(device)
-        ctx.run(ToyKernel(workspace=2 * 2**30))  # fits alone
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(
-                ToyKernel(workspace=2 * 2**30),
-                tensor_bytes_resident=5 * 2**30,
-            )
-
 
 class TestDefaultContexts:
     def test_engines_share_the_default_session(self, device):
+        """Independent call sites that ask for the default session share
+        one cache."""
         reset_default_contexts()
         try:
-            a = SimulationEngine(device, check_memory=False)
-            b = SimulationEngine(device, check_memory=False)
-            assert a.context is b.context is default_context(device)
-            a.run(ToyKernel(flops=7e9))
-            b.run(ToyKernel(flops=7e9))
+            a = default_context(device)
+            b = default_context(device)
+            assert a is b
+            a.run(ToyKernel(flops=7e9), check_memory=False)
+            b.run(ToyKernel(flops=7e9), check_memory=False)
             assert default_context(device).stats.hits == 1
         finally:
             reset_default_contexts()
@@ -296,18 +283,6 @@ class TestDefaultContexts:
         finally:
             reset_default_contexts()
 
-    def test_engine_view_binds_overrides(self, device):
-        ctx = SimulationContext(device)
-        view = ctx.engine(check_memory=False)
-        assert view.context is ctx
-        view.run(ToyKernel(workspace=7 * 2**30))  # unchecked via the view
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(ToyKernel(workspace=7 * 2**30))
-
-    def test_engine_rejects_mismatched_device(self, device, titan_x):
-        ctx = SimulationContext(device)
-        with pytest.raises(ValueError):
-            SimulationEngine(titan_x, context=ctx)
 
 
 class TestSimStats:

@@ -33,7 +33,7 @@ from repro.core.heuristic import LayoutThresholds
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import TITAN_BLACK, TITAN_X, SimulationContext, default_context
 from repro.gpusim.batch import set_batched_eval
-from repro.gpusim.engine import GpuOutOfMemoryError
+from repro.gpusim import GpuOutOfMemoryError
 from repro.layers.base import PoolSpec
 from repro.layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
 from repro.layers.pooling_kernels import make_pool_kernel

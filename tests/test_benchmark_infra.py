@@ -157,15 +157,15 @@ class TestJobsArgument:
 
 class TestDeterminism:
     def test_traced_kernels_are_deterministic(self, device):
-        """Two independent engines must produce identical traced profiles
+        """Two independent sessions must produce identical traced profiles
         (sampling is strided, never random)."""
-        from repro.gpusim import SimulationEngine
+        from repro.gpusim import SimulationContext
         from repro.layers import make_pool_kernel
         from repro.networks import POOL_LAYERS
 
         spec = POOL_LAYERS["PL5"]
-        a = SimulationEngine(device).run(make_pool_kernel(spec, "nchw-linear"))
-        b = SimulationEngine(device).run(make_pool_kernel(spec, "nchw-linear"))
+        a = SimulationContext(device).run(make_pool_kernel(spec, "nchw-linear"))
+        b = SimulationContext(device).run(make_pool_kernel(spec, "nchw-linear"))
         assert a.time_ms == b.time_ms
         assert a.transactions == b.transactions
 
